@@ -246,13 +246,6 @@ def check_table2(
         ratio(fresh),
         tolerance,
     )
-    _check_ratio(
-        ratchet,
-        "table2: warm memo replay speedup",
-        committed.get("warm_rerun", {}).get("speedup"),
-        fresh.get("warm_rerun", {}).get("speedup"),
-        tolerance,
-    )
     _check_phase_timings(ratchet, committed, fresh, tolerance)
 
 
@@ -268,18 +261,17 @@ def check_parallel(
     ratchet.check(
         "parallel: cross-backend byte identity",
         bool(fresh.get("byte_identical")),
-        "spawn/pool_cold/pool_warm MEDs all match serial"
+        "spawn/pool_cold MEDs all match serial"
         if fresh.get("byte_identical")
         else "fresh snapshot did not assert byte identity",
     )
-    for key in ("pool_warm_vs_spawn", "pool_cold_vs_spawn"):
-        _check_ratio(
-            ratchet,
-            f"parallel: speedup [{key}]",
-            committed.get("speedup", {}).get(key),
-            fresh.get("speedup", {}).get(key),
-            tolerance,
-        )
+    _check_ratio(
+        ratchet,
+        "parallel: speedup [pool_cold_vs_spawn]",
+        committed.get("speedup", {}).get("pool_cold_vs_spawn"),
+        fresh.get("speedup", {}).get("pool_cold_vs_spawn"),
+        tolerance,
+    )
 
 
 def check_packed(

@@ -7,11 +7,8 @@ engine under every execution backend —
 * ``spawn`` — the fault-isolated per-job subprocess backend (each job
   pays a fresh interpreter + import),
 * ``pool_cold`` — the warm-pool backend with cold caches (persistent
-  workers, shared-memory truth tables, the campaign-shared OptForPart
-  memo),
-* ``pool_warm`` — the warm pool starting from a disk memo snapshot
-  (``memo_dir``) pre-populated by an identical prior campaign, the
-  "repeated campaigns start warm" path —
+  workers, shared-memory truth tables, the campaign-shared BTO /
+  exhaustive memo) —
 
 and the script asserts every mode's MEDs are **byte-identical** before
 recording wall-clock times and speedups.  Timed passes run without
@@ -45,7 +42,7 @@ from repro.experiments.engine import (
     resolve_jobs,
     run_experiment_campaign,
 )
-from repro.experiments.pool import DEFAULT_MEMO_CAPACITY, load_memo_snapshot
+from repro.experiments.pool import DEFAULT_MEMO_CAPACITY
 
 from benchmarks import snapshot_provenance
 
@@ -146,8 +143,6 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-parallel-") as tmp:
         root = Path(tmp)
-        memo_dir = root / "memo"
-        warm_config = replace(pool_config, memo_dir=str(memo_dir))
 
         # -- serial anchor: the no-engine single-process protocol ------
         serial_times, serial_result = [], None
@@ -164,22 +159,12 @@ def main(argv=None) -> int:
         cold_times, cold_result = _timed_mode(
             scale, args.base_seed, pool_config, root, "pool-cold", args.repeats
         )
-        # one untimed pool campaign with --memo-dir populates the disk
-        # snapshot; the timed warm passes then start from it
-        _campaign(scale, args.base_seed, warm_config, root / "memo-seed")
-        warm_times, warm_result = _timed_mode(
-            scale, args.base_seed, warm_config, root, "pool-warm", args.repeats
-        )
-        snapshot["memo_snapshot_entries"] = len(
-            load_memo_snapshot(str(memo_dir))
-        )
 
         # -- byte-identity across every backend ------------------------
         meds = _meds(serial_result)
         for tag, result in (
             ("spawn", spawn_result),
             ("pool_cold", cold_result),
-            ("pool_warm", warm_result),
         ):
             if _meds(result) != meds:
                 print(f"FAIL: {tag} backend changed the MEDs", file=sys.stderr)
@@ -192,20 +177,14 @@ def main(argv=None) -> int:
         snapshot["serial"] = {"seconds": serial_times, "min": min(serial_times)}
         snapshot["spawn"] = {"seconds": spawn_times, "min": min(spawn_times)}
         snapshot["pool_cold"] = {"seconds": cold_times, "min": min(cold_times)}
-        snapshot["pool_warm"] = {
-            "memo_dir": "pre-populated by an identical prior pool campaign",
-            "seconds": warm_times,
-            "min": min(warm_times),
-        }
         snapshot["speedup"] = {
             "pool_cold_vs_spawn": min(spawn_times) / min(cold_times),
-            "pool_warm_vs_spawn": min(spawn_times) / min(warm_times),
         }
 
-        # -- pool counters of one untimed, telemetry-on warm campaign --
+        # -- pool counters of one untimed, telemetry-on pool campaign --
         sink = obs.MemorySink()
         with obs.session(sink):
-            _campaign(scale, args.base_seed, warm_config, root / "counters")
+            _campaign(scale, args.base_seed, pool_config, root / "counters")
         summary = obs.summarize.summarize(sink.records)
         snapshot["pool_counters"] = summary.pool_stats()
 

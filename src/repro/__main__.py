@@ -304,9 +304,6 @@ def _render_bench_snapshot(path: str, payload: dict) -> str:
             f"table2 wall-clock: fast {payload['fast'].get('min', 0):.2f}s, "
             f"reference {payload['reference'].get('min', 0):.2f}s"
         )
-    warm = payload.get("warm_rerun")
-    if warm:
-        lines.append(f"warm rerun speedup: {warm.get('speedup', 0):.2f}x")
     speedup = payload.get("speedup")
     if isinstance(speedup, dict):
         for name in sorted(speedup):

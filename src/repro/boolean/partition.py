@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -22,16 +21,50 @@ from ..caching import LruCache
 
 __all__ = ["Partition", "random_partition", "all_partitions", "partition_count"]
 
-#: cached neighbour lists keyed by partition — SA revisits the same
-#: states across chains and rounds, and the swap enumeration allocates
-#: n_free * n_bound Partition objects per call.  The list order is part
-#: of the contract: ``sample_neighbours`` draws indices into it.
+#: cached neighbour lists keyed by ``(free_mask, mask)`` — SA revisits
+#: the same states across chains and rounds, and the swap enumeration
+#: allocates n_free * n_bound Partition objects per call.  The list
+#: order is part of the contract: ``sample_neighbours`` draws indices
+#: into it.
 _NEIGHBOUR_CACHE = LruCache("partition_neighbours", maxsize=1024)
 
+_new = object.__new__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def _bits_of(mask: int) -> Tuple[int, ...]:
+    """Ascending positions of the set bits of ``mask``."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _from_masks(
+    free_mask: int, mask: int, n_free: int, n_bound: int
+) -> "Partition":
+    """Trusted constructor from disjoint, non-empty variable bitmasks.
+
+    Skips validation and the sorted-tuple views (built on first use):
+    the neighbour moves and :func:`random_partition` derive both masks
+    from a validated state, and SA expands many partitions per move.
+    """
+    self = _new(Partition)
+    _set(self, "mask", mask)
+    _set(self, "free_mask", free_mask)
+    _set(self, "n_free", n_free)
+    _set(self, "n_bound", n_bound)
+    _set(self, "n_rows", 1 << n_free)
+    _set(self, "n_cols", 1 << n_bound)
+    _set(self, "_free", None)
+    _set(self, "_bound", None)
+    return self
+
+
 class Partition:
     """A disjoint split of input variables into free and bound sets.
+
+    The state is two integer bitmasks — ``mask`` (the bound set ``B``,
+    bit ``v`` set when variable ``v`` is bound) and ``free_mask`` (the
+    free set ``A``) — so the hash is the bound mask and a neighbour
+    move is one XOR.  The sorted tuples are views over the masks.
 
     Attributes
     ----------
@@ -41,77 +74,89 @@ class Partition:
     bound:
         Sorted tuple of 0-indexed variable positions in the bound set
         ``B`` (they index the columns and feed the bound table).
+    n_free, n_bound, n_rows, n_cols:
+        ``|A|``, ``|B|`` and the induced 2D table shape
+        ``(2**|A|, 2**|B|)``.
     """
 
-    free: Tuple[int, ...]
-    bound: Tuple[int, ...]
+    __slots__ = (
+        "mask", "free_mask", "n_free", "n_bound", "n_rows", "n_cols",
+        "_free", "_bound",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "free", tuple(sorted(int(v) for v in self.free)))
-        object.__setattr__(self, "bound", tuple(sorted(int(v) for v in self.bound)))
-        overlap = set(self.free) & set(self.bound)
+    def __init__(self, free: Iterable[int], bound: Iterable[int]) -> None:
+        free_vars = [int(v) for v in free]
+        bound_vars = [int(v) for v in bound]
+        overlap = set(free_vars) & set(bound_vars)
         if overlap:
             raise ValueError(f"free and bound sets overlap on {sorted(overlap)}")
-        if not self.bound:
+        if not bound_vars:
             raise ValueError("bound set must not be empty")
-        if not self.free:
+        if not free_vars:
             raise ValueError("free set must not be empty")
+        variables = free_vars + bound_vars
+        if min(variables) < 0:
+            raise ValueError("variable positions must be non-negative")
+        if len(set(variables)) != len(variables):
+            raise ValueError("a variable is listed twice")
+        _set(self, "mask", sum(1 << v for v in bound_vars))
+        _set(self, "free_mask", sum(1 << v for v in free_vars))
+        _set(self, "n_free", len(free_vars))
+        _set(self, "n_bound", len(bound_vars))
+        _set(self, "n_rows", 1 << len(free_vars))
+        _set(self, "n_cols", 1 << len(bound_vars))
+        _set(self, "_free", tuple(sorted(free_vars)))
+        _set(self, "_bound", tuple(sorted(bound_vars)))
 
-    @classmethod
-    def _trusted(
-        cls, free: Tuple[int, ...], bound: Tuple[int, ...]
-    ) -> "Partition":
-        """Construct from already-sorted, disjoint int tuples.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Partition is immutable")
 
-        Reserved for :meth:`neighbours`, which derives both tuples from
-        a validated partition; skipping ``__post_init__`` matters there
-        because SA expands ``n_free * n_bound`` neighbours per move.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "bound", bound)
-        return self
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Partition is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.mask == other.mask and self.free_mask == other.free_mask
 
     def __hash__(self) -> int:
-        # partitions key every hot cache; hash the field tuples once
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.free, self.bound))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self.mask
+
+    def __reduce__(self):
+        return (Partition, (self.free, self.bound))
+
+    def __repr__(self) -> str:
+        return f"Partition(free={self.free!r}, bound={self.bound!r})"
 
     # ------------------------------------------------------------------
     @property
+    def free(self) -> Tuple[int, ...]:
+        free = self._free
+        if free is None:
+            free = _bits_of(self.free_mask)
+            _set(self, "_free", free)
+        return free
+
+    @property
+    def bound(self) -> Tuple[int, ...]:
+        bound = self._bound
+        if bound is None:
+            bound = _bits_of(self.mask)
+            _set(self, "_bound", bound)
+        return bound
+
+    @property
     def n_inputs(self) -> int:
         """Total number of variables covered by the partition."""
-        return len(self.free) + len(self.bound)
-
-    @property
-    def n_free(self) -> int:
-        return len(self.free)
-
-    @property
-    def n_bound(self) -> int:
-        return len(self.bound)
-
-    @property
-    def n_rows(self) -> int:
-        """Number of rows of the induced 2D truth table, ``2**|A|``."""
-        return 1 << self.n_free
-
-    @property
-    def n_cols(self) -> int:
-        """Number of columns of the induced 2D truth table, ``2**|B|``."""
-        return 1 << self.n_bound
+        return self.n_free + self.n_bound
 
     def validate_for(self, n_inputs: int) -> None:
         """Check that the partition exactly covers ``n_inputs`` variables."""
-        expected = set(range(n_inputs))
-        actual = set(self.free) | set(self.bound)
-        if actual != expected:
+        if self.free_mask | self.mask != (1 << n_inputs) - 1:
+            actual = sorted(self.free + self.bound)
             raise ValueError(
-                f"partition covers variables {sorted(actual)}, "
-                f"expected exactly {sorted(expected)}"
+                f"partition covers variables {actual}, "
+                f"expected exactly {list(range(n_inputs))}"
             )
 
     # ------------------------------------------------------------------
@@ -138,22 +183,27 @@ class Partition:
         return rows * self.n_cols + cols
 
     # ------------------------------------------------------------------
+    def _swap(self, a: int, b: int) -> "Partition":
+        """The neighbour exchanging free variable ``a`` with bound ``b``."""
+        swap = (1 << a) | (1 << b)
+        return _from_masks(
+            self.free_mask ^ swap, self.mask ^ swap, self.n_free, self.n_bound
+        )
+
     def neighbours(self) -> List["Partition"]:
         """All partitions whose free set differs in exactly one element.
 
         Each neighbour swaps one free variable with one bound variable,
         preserving the bound-set size ``b`` required by the hardware.
+        The order is the ``(free x bound)`` product of the sorted sets.
         """
-        cached = _NEIGHBOUR_CACHE.get(self)
+        key = (self.free_mask, self.mask)
+        cached = _NEIGHBOUR_CACHE.get(key)
         if cached is not None:
             return list(cached)
-        result = []
-        for a in self.free:
-            for b in self.bound:
-                free = tuple(sorted(set(self.free) - {a} | {b}))
-                bound = tuple(sorted(set(self.bound) - {b} | {a}))
-                result.append(Partition._trusted(free, bound))
-        _NEIGHBOUR_CACHE.put(self, tuple(result))
+        bound = self.bound
+        result = [self._swap(a, b) for a in self.free for b in bound]
+        _NEIGHBOUR_CACHE.put(key, tuple(result))
         return result
 
     def sample_neighbours(
@@ -167,28 +217,21 @@ class Partition:
         partitions — as enumerating every swap, while only
         constructing the ``count`` chosen neighbours.
         """
-        n_bound = len(self.bound)
-        total = len(self.free) * n_bound
+        n_bound = self.n_bound
+        total = self.n_free * n_bound
         if count >= total:
             return self.neighbours()
-        picks = rng.choice(total, size=count, replace=False)
-        result = []
-        for pick in picks:
-            a = self.free[int(pick) // n_bound]
-            b = self.bound[int(pick) % n_bound]
-            result.append(
-                Partition._trusted(
-                    tuple(sorted(set(self.free) - {a} | {b})),
-                    tuple(sorted(set(self.bound) - {b} | {a})),
-                )
-            )
-        return result
+        free, bound = self.free, self.bound
+        return [
+            self._swap(free[pick // n_bound], bound[pick % n_bound])
+            for pick in rng.choice(total, size=count, replace=False).tolist()
+        ]
 
     def is_neighbour_of(self, other: "Partition") -> bool:
         """True when the free sets differ in exactly one element."""
         if self.n_free != other.n_free or self.n_bound != other.n_bound:
             return False
-        return len(set(self.free) - set(other.free)) == 1
+        return bin(self.free_mask & ~other.free_mask).count("1") == 1
 
     def with_shared_first(self, shared: int) -> "Partition":
         """Check ``shared`` is a bound variable and return self.
@@ -215,10 +258,12 @@ def random_partition(
         raise ValueError(
             f"bound_size must be in [1, {n_inputs - 1}], got {bound_size}"
         )
-    variables = rng.permutation(n_inputs)
-    bound = tuple(int(v) for v in variables[:bound_size])
-    free = tuple(int(v) for v in variables[bound_size:])
-    return Partition(free, bound)
+    mask = 0
+    for v in rng.permutation(n_inputs)[:bound_size].tolist():
+        mask |= 1 << v
+    return _from_masks(
+        ((1 << n_inputs) - 1) ^ mask, mask, n_inputs - bound_size, bound_size
+    )
 
 
 def all_partitions(n_inputs: int, bound_size: int) -> Iterator[Partition]:

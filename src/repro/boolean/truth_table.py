@@ -26,33 +26,34 @@ __all__ = [
     "TwoDimensionalTable",
 ]
 
-#: cached (scatter, gather) permutation pairs keyed by (partition, n).
-#: One entry costs two int64 vectors of length 2**n.  The size must
-#: clear the working set of a search run: the Table-II default scale
-#: (n = 12, b = 7) can visit all C(12, 7) = 792 partitions, and a
-#: smaller cache thrashes — every miss reruns the bit-extraction that
-#: the cache exists to amortise.
+#: cached gather permutations keyed by the partition's bound-set
+#: bitmask and n (the free set is the complement once the partition is
+#: validated for n).  Every OptForPart item reads one, so entries are
+#: stored in the narrowest index dtype: uint16 up to n = 16, one entry
+#: costing 2**(n+1) bytes.  The size must clear the working set of a
+#: search run: the Table-II default scale (n = 12, b = 7) can visit all
+#: C(12, 7) = 792 partitions, and a smaller cache thrashes — every miss
+#: reruns the permutation build that the cache exists to amortise.
 _INDEX_CACHE = LruCache("table_index", maxsize=1024)
+
+#: cached scatter permutations (the inverses), same keying as above
+_SCATTER_CACHE = LruCache("table_scatter", maxsize=1024)
 
 #: cached (rows, cols) coordinate vectors, same keying as above
 _ROWCOL_CACHE = LruCache("table_rowcol", maxsize=1024)
 
 
-def table_indices(
-    partition: Partition, n_inputs: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cached (scatter, gather) index pair for a partition's 2D layout.
+def gather_index(partition: Partition, n_inputs: int) -> np.ndarray:
+    """Cached gather permutation: ``matrix.flat = values[gather]``.
 
-    ``scatter`` satisfies ``matrix.flat[scatter[x]] = values[x]`` (it is
-    :meth:`Partition.scatter_index`); ``gather`` is its inverse
-    permutation, ``matrix.flat = values[gather]``.  Both arrays are
-    marked read-only because they are shared across callers.
+    The array is read-only because it is shared across callers, and its
+    dtype is uint16 for ``n_inputs <= 16`` (intp above).
     """
-    key = (partition, n_inputs)
-    cached = _INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
     partition.validate_for(n_inputs)
+    key = (partition.mask, n_inputs)
+    gather = _INDEX_CACHE.get(key)
+    if gather is not None:
+        return gather
     # The gather permutation is a pure bit reordering of 0..2**n-1, so
     # it falls out of a reshape/transpose of ``arange`` directly: axis
     # ``k`` of the (2,)*n grid is word bit ``n-1-k``, and laying the
@@ -62,20 +63,34 @@ def table_indices(
     # the per-bit extraction (covered by a unit test).
     order = (*reversed(partition.free), *reversed(partition.bound))
     axes = [n_inputs - 1 - bit for bit in order]
-    grid = np.arange(1 << n_inputs, dtype=np.int64).reshape((2,) * n_inputs)
+    dtype = np.uint16 if n_inputs <= 16 else np.intp
+    grid = np.arange(1 << n_inputs, dtype=dtype).reshape((2,) * n_inputs)
     gather = np.ascontiguousarray(grid.transpose(axes)).reshape(-1)
-    scatter = np.empty_like(gather)
-    scatter[gather] = np.arange(gather.size, dtype=np.int64)
-    scatter.setflags(write=False)
     gather.setflags(write=False)
-    pair = (scatter, gather)
-    _INDEX_CACHE.put(key, pair)
-    return pair
+    _INDEX_CACHE.put(key, gather)
+    return gather
 
 
-def gather_index(partition: Partition, n_inputs: int) -> np.ndarray:
-    """Cached gather permutation: ``matrix.flat = values[gather]``."""
-    return table_indices(partition, n_inputs)[1]
+def table_indices(
+    partition: Partition, n_inputs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cached (scatter, gather) index pair for a partition's 2D layout.
+
+    ``scatter`` satisfies ``matrix.flat[scatter[x]] = values[x]`` (it is
+    :meth:`Partition.scatter_index`, as int64); ``gather`` is its
+    inverse permutation, ``matrix.flat = values[gather]`` (see
+    :func:`gather_index`).  Both arrays are marked read-only because
+    they are shared across callers.
+    """
+    gather = gather_index(partition, n_inputs)
+    key = (partition.mask, n_inputs)
+    scatter = _SCATTER_CACHE.get(key)
+    if scatter is None:
+        scatter = np.empty(gather.size, dtype=np.int64)
+        scatter[gather] = np.arange(gather.size, dtype=np.int64)
+        scatter.setflags(write=False)
+        _SCATTER_CACHE.put(key, scatter)
+    return scatter, gather
 
 
 def row_col_indices(
@@ -87,7 +102,8 @@ def row_col_indices(
     from the cached scatter permutation (``scatter = rows * n_cols +
     cols`` with ``cols < n_cols``), so no bit extraction runs on a hit.
     """
-    key = (partition, n_inputs)
+    partition.validate_for(n_inputs)
+    key = (partition.mask, n_inputs)
     cached = _ROWCOL_CACHE.get(key)
     if cached is not None:
         return cached

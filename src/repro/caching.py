@@ -29,7 +29,7 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional
 
 from . import obs
 
@@ -213,23 +213,6 @@ class LruCache:
             if self.journal is not None:
                 self.journal.append((key, value))
             self._store(key, value)
-
-    def put_many(self, items: Iterable[Tuple[Hashable, Any]]) -> None:
-        """Store a batch of ``(key, value)`` pairs under one lock hold.
-
-        Semantically identical to calling :meth:`put` per pair (same
-        journalling, same LRU order, same eviction accounting) but the
-        lock and journal lookups are paid once per batch — the fused
-        kernel driver stores one batch per evaluated chunk.
-        """
-        with self._lock:
-            journal = self.journal
-            for key, value in items:
-                if value is None:
-                    raise ValueError("LruCache cannot store None")
-                if journal is not None:
-                    journal.append((key, value))
-                self._store(key, value)
 
     def _store(self, key: Hashable, value: Any) -> None:
         self._data[key] = value

@@ -120,18 +120,24 @@ def _draw_patterns(
     Taking the draws here — one per partition, in encounter order —
     consumes the generator stream exactly as a loop of single
     ``opt_for_part`` calls would, which is what keeps every later draw
-    (SA acceptance tests, subsequent bits) bit-identical.  The draws
-    land directly in one preallocated ``(N, Z, cols)`` stack, so the
-    whole generation is materialised (and later memo-digested) once
-    per batch instead of once per item.
+    (SA acceptance tests, subsequent bits) bit-identical.
+
+    A bounded uint8 draw consumes one byte of a buffered 32-bit word
+    per value, and the buffer starts afresh with every call.  When one
+    item's ``Z * cols`` values fill whole words, the per-item draws
+    therefore tile the stream exactly, and one stacked ``(N, Z, cols)``
+    draw yields the same bytes and the same generator state; other
+    shapes keep the per-item loop.
     """
     z = config.n_initial_patterns
     cols = partitions[0].n_cols if partitions else 0
-    stacked = np.empty((len(partitions), z, cols), dtype=np.uint8)
-    for index, partition in enumerate(partitions):
-        stacked[index] = rng.integers(
-            0, 2, size=(z, partition.n_cols), dtype=np.uint8
+    if z * cols % 4 == 0:
+        return rng.integers(
+            0, 2, size=(len(partitions), z, cols), dtype=np.uint8
         )
+    stacked = np.empty((len(partitions), z, cols), dtype=np.uint8)
+    for index in range(len(partitions)):
+        stacked[index] = rng.integers(0, 2, size=(z, cols), dtype=np.uint8)
     return stacked
 
 

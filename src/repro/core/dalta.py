@@ -95,8 +95,13 @@ def run_dalta(
                             # serial loop would, then evaluate the whole
                             # sample through one stacked OptForPart call
                             # — results are bitwise identical per item.
+                            # The draws land in one preallocated stack.
                             order = []
-                            drawn = []
+                            z = config.n_initial_patterns
+                            drawn = np.empty(
+                                (budget, z, 1 << config.bound_size),
+                                dtype=np.uint8,
+                            )
                             while len(seen) < budget and attempts < 20 * budget:
                                 attempts += 1
                                 partition = random_partition(
@@ -105,25 +110,20 @@ def run_dalta(
                                 if partition in seen:
                                     continue
                                 seen.add(partition)
-                                order.append(partition)
-                                drawn.append(
-                                    rng.integers(
-                                        0,
-                                        2,
-                                        size=(
-                                            config.n_initial_patterns,
-                                            partition.n_cols,
-                                        ),
-                                        dtype=np.uint8,
-                                    )
+                                drawn[len(order)] = rng.integers(
+                                    0,
+                                    2,
+                                    size=(z, partition.n_cols),
+                                    dtype=np.uint8,
                                 )
+                                order.append(partition)
                             results = opt_for_part_many(
                                 costs,
                                 p,
                                 order,
                                 target.n_inputs,
                                 memo=memo,
-                                initial_patterns=drawn,
+                                initial_patterns=drawn[: len(order)],
                             )
                             if order:
                                 obs.incr(

@@ -20,27 +20,29 @@ needed.
 
 Performance layer (see ``docs/performance.md``)
 -----------------------------------------------
-Three amortisations keep every output bit identical while cutting the
+Every entry point runs one chunk engine (:func:`_grouped_eval`), and
+three amortisations keep every output bit identical while cutting the
 wall clock of the search loops:
 
-* cost matrices are built through the cached gather index of
-  :func:`repro.boolean.truth_table.table_indices` instead of
-  recomputing the 2D permutation twice per call;
-* :func:`opt_for_part_many` evaluates a whole batch of same-shape
-  partitions (SA neighbours, DALTA samples) through one stacked
-  alternation — NumPy's stacked ``matmul`` runs the identical BLAS
-  kernel per slice, so each item's result is bitwise equal to a
-  standalone call, and converged items are frozen at exactly the sweep
-  where the serial loop would stop;
-* an LRU memo (:func:`memo_context`) caches full results keyed by
-  digests of the cost vectors, the input distribution, the partition,
-  and — for the randomised variant — the drawn initial patterns.  The
-  pattern digest is what makes a hit *provably* bit-exact: the
-  alternation is deterministic given ``(d0, d1, patterns)``.  The
-  deterministic BTO/exhaustive variants memoise without it and hit
-  whenever a bit's context is revisited unchanged.  Pattern digests
-  are taken over the *bit-packed* form of the candidate matrix
-  (:func:`repro.boolean.packed.pack_bits`), 8x fewer bytes hashed.
+* an :class:`OptMemo` context per ``(costs, p)`` pair holds what
+  depends only on the pair — the packed-tier verdict, the weighted
+  cost vectors, the pre-differenced weight grid — so kernel calls skip
+  the per-context set-up;
+* each item's table is one ``take`` through the cached gather index of
+  :func:`repro.boolean.truth_table.gather_index`, written straight
+  into the chunk's stacked cost array;
+* a whole batch of same-shape partitions (SA neighbours, DALTA
+  samples) runs through one stacked alternation — NumPy's stacked
+  ``matmul`` runs the identical BLAS kernel per slice, so each item's
+  result is bitwise equal to a standalone call, and converged items
+  are frozen at exactly the sweep where the serial loop would stop.
+
+The deterministic BTO / exhaustive variants also memoise full results
+(:func:`result_memo`), keyed by digests of the cost vectors, the input
+distribution and the partition; they hit whenever a bit's context is
+revisited unchanged.  The randomised variant is not memoised: its
+result depends on the drawn initial patterns, so it could only hit on
+an identical-seed replay.
 
 Bit-packed kernel tier
 ----------------------
@@ -75,8 +77,8 @@ Cross-caller fusion
 :func:`opt_for_part_grouped` evaluates a *list* of
 :class:`KernelRequest` batches — possibly from different ``(costs,
 p)`` contexts — in one pass: items are grouped by table shape and
-eligibility, deduplicated by memo digest, and executed in chunks up to
-``_BATCH_LIMIT`` wide, each item bitwise equal to its standalone call.
+eligibility and executed in chunks up to ``_BATCH_LIMIT`` wide, each
+item bitwise equal to its standalone call.
 :class:`repro.core.fusion.FusionHub` routes concurrent callers'
 ``opt_for_part`` / ``opt_for_part_many`` invocations here so serve
 batches and fused campaign runs share kernel dispatches; engagement is
@@ -90,7 +92,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +129,11 @@ _DEFAULT_MAX_SWEEPS = 60
 #: cost stacks without measurably hurting the amortisation
 _BATCH_LIMIT = 64
 
+#: active batches at or below this size ride their converged items to
+#: the end instead of compacting (measured on the Table-II search
+#: chunks, 4-8 items wide at 32 x 128 tables)
+_COMPACT_MIN = 16
+
 # RowType values hoisted to plain ints: enum attribute lookups show up
 # in kernel profiles (they run once per row-mask per sweep per call)
 _T_ZERO = int(RowType.ALL_ZERO)
@@ -134,11 +141,10 @@ _T_ONE = int(RowType.ALL_ONE)
 _T_PATTERN = int(RowType.PATTERN)
 _T_COMPLEMENT = int(RowType.COMPLEMENT)
 
-#: process-wide result memo; entries are a few hundred bytes each.
-#: Evictions feed the ``opt.memo_evictions`` counter so `repro
-#: summarize` shows when the bound is thrashing (a full Table-II
-#: protocol overflows 4096 entries by design; the warm pool resizes
-#: its workers' memos to the campaign capacity).
+#: process-wide memo of the deterministic variants (BTO, exhaustive);
+#: entries are a few hundred bytes each.  Evictions feed the
+#: ``opt.memo_evictions`` counter so `repro summarize` shows when the
+#: bound is thrashing.
 _RESULT_MEMO = caching.LruCache(
     "opt.memo",
     maxsize=4096,
@@ -146,22 +152,9 @@ _RESULT_MEMO = caching.LruCache(
     eviction_counter="opt.memo_evictions",
 )
 
-def _partition_axes(partition: Partition, n_inputs: int) -> Tuple[int, ...]:
-    """Transpose axes mapping the flat weight grid to ``partition``'s table.
-
-    A weight vector reshaped to ``(2,) * n_inputs`` (axis 0 = the most
-    significant input bit) and transposed by these axes reads out, when
-    flattened, exactly the ``gather_index`` permutation of the vector:
-    the first ``n_free`` axes enumerate rows, the rest columns.  Unlike
-    a fancy ``take`` over a precomputed index array, the transpose is a
-    view — the gather is a single strided copy with no index traffic.
-    """
-    order = (*reversed(partition.free), *reversed(partition.bound))
-    return tuple(n_inputs - 1 - bit for bit in order)
-
 
 def result_memo() -> caching.LruCache:
-    """The process-wide ``OptForPart`` result memo.
+    """The process-wide BTO / exhaustive ``OptForPart`` result memo.
 
     Exposed for the warm-pool execution backend, which seeds worker
     memos from a campaign-shared segment and exports freshly computed
@@ -197,56 +190,74 @@ class OptForPartResult:
 
 
 class OptMemo:
-    """Binds one ``(costs, p)`` pair to the process-wide result memo.
+    """The kernel context of one ``(costs, p)`` pair.
 
-    Created by :func:`memo_context`, which digests the cost vectors and
-    the input distribution once; per-partition keys are then cheap.
-    The callers (``find_best_settings``, DALTA's bit loop) own the
-    arrays for the duration, so content digests taken at construction
-    stay valid.
+    Created by :func:`memo_context`.  Everything here depends only on
+    the pair, so it is computed once per search context instead of once
+    per kernel call: the packed-tier eligibility verdict, the weighted
+    cost vectors, the packed sweep's pre-differenced weight grid and
+    its ``w0.sum()`` offset, and the content digest keying the BTO /
+    exhaustive result memo (taken on first use).  The callers
+    (``find_best_settings``, DALTA's bit loop) own the arrays for the
+    duration, so the cached values stay valid.
     """
 
-    __slots__ = ("context_key", "packed_ok", "packed_mode")
+    __slots__ = (
+        "costs", "p", "packed_ok", "packed_mode",
+        "_context_key", "_weights", "_packed_grid",
+    )
 
-    def __init__(self, context_key: Tuple) -> None:
-        self.context_key = context_key
+    def __init__(self, costs: BitCosts, p: np.ndarray) -> None:
+        self.costs = costs
+        self.p = p
         # lazily cached packed-tier eligibility verdict (and precision
         # tier) for the bound (costs, p) pair — see _packed_mode_engaged()
         self.packed_ok: Optional[bool] = None
         self.packed_mode: Optional[str] = None
+        self._context_key: Optional[Tuple] = None
+        self._weights: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._packed_grid: Optional[Tuple[np.ndarray, float]] = None
 
-    def normal_key(
-        self, partition: Partition, patterns: np.ndarray, max_sweeps: int
-    ) -> Tuple:
-        # digest the bit-packed candidate matrix: same information
-        # (shape is part of the key, pad bits are zero), 8x fewer bytes
-        # through sha1 per memo probe
-        return self.normal_key_packed(
-            partition, pack_bits(patterns), patterns.shape, max_sweeps
-        )
+    @property
+    def context_key(self) -> Tuple:
+        """Content digest of ``(costs, p)`` for the result-memo keys."""
+        if self._context_key is None:
+            h = hashlib.sha1()
+            h.update(np.ascontiguousarray(self.costs.cost0).tobytes())
+            h.update(np.ascontiguousarray(self.costs.cost1).tobytes())
+            h.update(np.ascontiguousarray(self.p).tobytes())
+            self._context_key = (
+                int(self.costs.k), self.costs.cost0.shape[0], h.digest()
+            )
+        return self._context_key
 
-    def normal_key_packed(
-        self,
-        partition: Partition,
-        packed: np.ndarray,
-        shape: Tuple[int, ...],
-        max_sweeps: int,
-    ) -> Tuple:
-        """:meth:`normal_key` from an already bit-packed pattern matrix.
+    def weights(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The weighted cost vectors ``costs.weighted(p)``."""
+        if self._weights is None:
+            self._weights = self.costs.weighted(self.p)
+        return self._weights
 
-        The batched driver packs the whole pattern stack in one
-        :func:`pack_bits` call and hands each item's words here, so the
-        per-item key cost is one sha1 over the packed bytes.
+    def packed_grid(self, mode: str) -> Tuple[np.ndarray, float]:
+        """``(w1 - w0, w0.sum())`` for the packed sweep's relative mode.
+
+        The packed sweep consumes only ``diff = d1 - d0`` (gathered from
+        this pre-differenced vector, half the gather work) plus each
+        item's *total* zero cost — one scalar, since the per-row zero
+        costs cancel out of every comparison and re-enter the totals as
+        one exact offset.  ``w0.sum()`` is exact under the gate (an
+        integer multiple of the common dyadic unit, below the overflow
+        bound), so the re-based totals are bit-equal to building the
+        matrices and reducing them.  In the f32 tier the vector is
+        pre-cast once — exact (the gate bounds every value below 2**24
+        in units) and the per-item gathers move half the bytes.
         """
-        digest = hashlib.sha1(packed.tobytes()).digest()
-        return (
-            "normal",
-            self.context_key,
-            partition,
-            int(max_sweeps),
-            tuple(shape),
-            digest,
-        )
+        if self._packed_grid is None:
+            w0, w1 = self.weights()
+            wdiff = w1 - w0
+            if mode == "f32":
+                wdiff = wdiff.astype(np.float32)
+            self._packed_grid = (wdiff, float(w0.sum()))
+        return self._packed_grid
 
     def bto_key(self, partition: Partition) -> Tuple:
         return ("bto", self.context_key, partition)
@@ -256,18 +267,14 @@ class OptMemo:
 
 
 def memo_context(costs: BitCosts, p: np.ndarray) -> OptMemo:
-    """Digest ``(costs, p)`` into a memo handle for the result cache.
+    """Bind ``(costs, p)`` into a kernel context for the search loops.
 
     Only create one when the cost vectors and distribution are immutable
     for the lifetime of the handle (the per-bit search loops satisfy
     this: they build fresh cost vectors per context and never write to
     ``p``).
     """
-    h = hashlib.sha1()
-    h.update(np.ascontiguousarray(costs.cost0).tobytes())
-    h.update(np.ascontiguousarray(costs.cost1).tobytes())
-    h.update(np.ascontiguousarray(p).tobytes())
-    return OptMemo((int(costs.k), costs.cost0.shape[0], h.digest()))
+    return OptMemo(costs, p)
 
 
 def _cost_matrices(
@@ -473,11 +480,6 @@ def _packed_eligible(costs: BitCosts, p: np.ndarray) -> bool:
     return _packed_mode(costs, p) is not None
 
 
-def _weighted_eligible(costs: BitCosts, p: np.ndarray) -> bool:
-    """Boolean view of :func:`_weighted_mode`."""
-    return _weighted_mode(costs, p) is not None
-
-
 def _packed_mode(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     """Dyadic-exactness gate for the packed sweep.
 
@@ -627,21 +629,18 @@ def _packed_mode_engaged(
     return mode
 
 
-def _packed_engaged(
-    costs: BitCosts, p: np.ndarray, memo: Optional["OptMemo"] = None
-) -> bool:
-    """Boolean view of :func:`_packed_mode_engaged`."""
-    return _packed_mode_engaged(costs, p, memo) is not None
-
-
 class _PackedSweep:
     """Hoisted state + buffers for the packed exact-arithmetic sweep.
 
-    The entire sweep runs off ``diff = d1 - d0`` plus per-row sums —
-    the full cost matrices are never materialised.  ``diff`` turns the
-    two type-3/type-4 matmuls of the types half-step into one
-    (``pattern_cost = zc + diff @ Vᵀ``), the complement cost falls out
-    of the hoisted ``both = zc + oc`` row sums with zero matmuls
+    The entire sweep runs off ``diff = d1 - d0`` plus its per-row sums
+    — the full cost matrices are never materialised.  Every cost is
+    kept *relative* to its row's all-zero cost, which cancels out of
+    every comparison (both sides of each strict ``<`` shift by the same
+    exact float) and re-enters the totals as one per-item scalar
+    offset (see :func:`_alternate_packed`).  ``diff`` turns the two
+    type-3/type-4 matmuls of the types half-step into one
+    (``pattern_cost = diff @ Vᵀ``), the complement cost falls out of
+    the hoisted row sums ``both`` with zero matmuls
     (``complement = both - pattern``), and the patterns half-step only
     needs the *sign* of ``cost_zero - cost_one = (m4 - m3) @ diff`` —
     one matmul where the reference takes four.  Each identity holds
@@ -654,17 +653,11 @@ class _PackedSweep:
     """
 
     __slots__ = (
-        "diff", "diff_t", "zc", "both", "m01", "b01", "ones",
+        "diff", "diff_t", "both", "m01", "b01", "ones",
         "v", "pat", "comp", "m4", "g", "u4", "uvt",
     )
 
-    def __init__(
-        self,
-        diff: np.ndarray,
-        zero_cost: Optional[np.ndarray],
-        one_cost: np.ndarray,
-        z: int,
-    ) -> None:
+    def __init__(self, diff: np.ndarray, z: int) -> None:
         batch, rows, cols = diff.shape
         self.diff = diff
         self.diff_t = diff.transpose(0, 2, 1)
@@ -672,30 +665,18 @@ class _PackedSweep:
         # types come out ready for the masks and the final output with
         # no transposes, and the row reduction runs over the contiguous
         # last axis.  Row-state arrays carry a broadcast axis so the
-        # half-steps never rebuild views per sweep.
-        if zero_cost is None:
-            # relative mode: every cost is shifted down by the per-row
-            # zero cost, which cancels out of *all* comparisons (both
-            # sides of each strict ``<`` shift by the same exact float)
-            # and re-enters the totals as one per-item scalar offset
-            # (see _alternate_packed).  ``one_cost`` then holds the row
-            # sums of ``diff`` — the only per-row state the sweep needs.
-            self.zc = None
-            self.both = one_cost[:, None, :]
-            self.m01 = np.minimum(0.0, one_cost)[:, None, :]
-            self.b01 = np.where(
-                one_cost < 0.0, np.int8(_T_ONE), np.int8(_T_ZERO)
-            )[:, None, :]
-        else:
-            self.zc = zero_cost[:, None, :]
-            self.both = (zero_cost + one_cost)[:, None, :]
-            self.m01 = np.minimum(zero_cost, one_cost)[:, None, :]
-            # constant-row type by reference tie-breaking: ALL_ZERO
-            # unless the all-one row is strictly cheaper (argmin
-            # prefers index 0)
-            self.b01 = np.where(
-                one_cost < zero_cost, np.int8(_T_ONE), np.int8(_T_ZERO)
-            )[:, None, :]
+        # half-steps never rebuild views per sweep.  ``both`` is the
+        # all-one row cost relative to the all-zero one: the row sums
+        # of ``diff`` (exact integer-scaled sums under the gate, so any
+        # association order gives the same bits).
+        one_cost = diff.sum(axis=2)
+        self.both = one_cost[:, None, :]
+        self.m01 = np.minimum(0.0, one_cost)[:, None, :]
+        # constant-row type by reference tie-breaking: ALL_ZERO unless
+        # the all-one row is strictly cheaper (argmin prefers index 0)
+        self.b01 = np.where(
+            one_cost < 0.0, np.int8(_T_ONE), np.int8(_T_ZERO)
+        )[:, None, :]
         # exact-sum reduction vector: under the eligibility gate a
         # gemv against ones is bitwise equal to ``pat.sum(axis=2)``
         # in any association order, and roughly halves the dispatch.
@@ -715,11 +696,8 @@ class _PackedSweep:
         """Drop converged items; state shrinks, buffers re-slice."""
         self.diff = self.diff[keep]
         self.diff_t = self.diff.transpose(0, 2, 1)
-        if self.zc is not None:
-            self.zc = self.zc[keep]
         self.both = self.both[keep]
         self.m01 = self.m01[keep]
-        self.b01 = self.b01[keep]
         b = self.diff.shape[0]
         self.v = self.v[:b]
         self.pat = self.pat[:b]
@@ -737,18 +715,16 @@ def _packed_types_core(
 
     Returns ``(use4, use_vt, totals)`` — the two selection masks plus
     the per-candidate totals.  The ``int8`` type vectors the reference
-    core emits are only needed when an item freezes, so the sweep loop
-    carries the masks and :func:`_packed_types` materialises types on
-    demand (most sweeps never do).  When ``patterns`` is ``None`` the
-    candidates already sit in ``sweep.v`` (the patterns half-step
-    writes them there as exact 0.0/1.0 floats, skipping a copy).
+    core emits are only needed for the final output, so the sweep loop
+    carries the masks and :func:`_packed_types` materialises types
+    once at the end.  When ``patterns`` is ``None`` the candidates
+    already sit in ``sweep.v`` (the patterns half-step writes them
+    there as exact 0.0/1.0 floats, skipping a copy).
     """
     if patterns is not None:
         np.copyto(sweep.v, patterns)
     pat = sweep.pat
     np.matmul(sweep.v, sweep.diff_t, out=pat)
-    if sweep.zc is not None:
-        pat += sweep.zc
     comp = sweep.comp
     np.subtract(sweep.both, pat, out=comp)
     # among {pattern, complement}: argmin prefers the lower index, so
@@ -796,76 +772,43 @@ def _packed_patterns_core(
     return np.greater(sweep.g, 0.0, out=sweep.v, casting="unsafe")
 
 
-def _alternate_batch_packed(
-    d0: np.ndarray, d1: np.ndarray, patterns: np.ndarray, max_sweeps: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Packed-tier :func:`_alternate_batch` from full cost matrices.
-
-    Thin adapter for callers that already built ``d0``/``d1`` (the
-    serial path); the batched driver gathers ``diff`` and the row sums
-    directly and calls :func:`_alternate_packed`.
-    """
-    zero_cost, one_cost = _row_sums(d0, d1)
-    return _alternate_packed(d1 - d0, zero_cost, one_cost, patterns, max_sweeps)
-
-
 def _alternate_packed(
     diff: np.ndarray,
-    zero_cost: Optional[np.ndarray],
-    one_cost: np.ndarray,
     patterns: np.ndarray,
     max_sweeps: int,
-    totals_offset: Optional[np.ndarray] = None,
+    totals_offset: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Packed-tier :func:`_alternate_batch`: same loop, packed cores.
 
-    The convergence test, freeze points, and compaction mirror the
-    reference driver line for line — only the half-step arithmetic is
-    swapped, and the eligibility gate makes that swap bitwise
-    invisible.
+    The convergence test and freeze points mirror the reference driver
+    line for line — only the half-step arithmetic is swapped, and the
+    eligibility gate makes that swap bitwise invisible.
 
-    With ``zero_cost=None`` the sweep runs in *relative* mode:
-    ``one_cost`` holds the per-row sums of ``diff`` and every internal
-    cost is shifted down by the (never materialised) per-row zero
-    cost.  The shift cancels out of every comparison — both sides of
-    each strict ``<`` and of the convergence test move by the same
-    exact float — so masks, tie-breaks, and sweep counts are bitwise
-    identical to absolute mode.  The returned totals are re-based by
-    adding ``totals_offset`` (each item's total zero cost, an exact
+    The sweep runs in *relative* mode (see :class:`_PackedSweep`), so
+    the masks, tie-breaks, and sweep counts are bitwise identical to
+    absolute costs.  The returned totals are re-based by adding
+    ``totals_offset`` (each item's total zero cost, an exact
     dyadic-integer scalar), which restores the absolute values bit for
     bit because every quantity involved is exact under the eligibility
     gate.
     """
     batch, z = diff.shape[0], patterns.shape[1]
-    sweep = _PackedSweep(diff, zero_cost, one_cost, z)
+    sweep = _PackedSweep(diff, z)
+    b01 = sweep.b01
     use4, use_vt, totals = _packed_types_core(sweep, patterns)
     out_patterns = np.empty_like(patterns)
-    out_types = np.empty((batch, z, diff.shape[1]), dtype=np.int8)
+    out_use4 = np.empty_like(use4)
+    out_use_vt = np.empty_like(use_vt)
     out_totals = np.empty_like(totals)
     out_sweeps = np.zeros(batch, dtype=np.int64)
     if max_sweeps < 1:
-        types = _packed_types(use4, use_vt, sweep.b01)
-        if totals_offset is not None:
-            totals = totals + totals_offset[:, None]
+        types = _packed_types(use4, use_vt, b01)
+        totals = totals + totals_offset[:, None]
         return patterns.copy(), types, totals, out_sweeps
 
-    if batch == 1:
-        sweeps = 0
-        while True:
-            sweeps += 1
-            patterns = _packed_patterns_core(sweep, use4, use_vt)
-            use4, use_vt, new_totals = _packed_types_core(sweep)
-            converged = bool((new_totals >= totals - 1e-12).all())
-            totals = new_totals
-            if converged or sweeps >= max_sweeps:
-                out_patterns[0] = patterns[0]
-                out_sweeps[0] = sweeps
-                types = _packed_types(use4, use_vt, sweep.b01)
-                if totals_offset is not None:
-                    totals = totals + totals_offset[:, None]
-                return out_patterns, types, totals, out_sweeps
-
-    active = np.arange(batch)
+    # ``active`` maps batch slots to items; it stays None until the
+    # first compaction (slot == item before that)
+    active: Optional[np.ndarray] = None
     done_mask = np.zeros(batch, dtype=bool)
     # convergence-test scratch (re-sliced on compaction): the loop body
     # runs thousands of times per protocol pass, so the handful of
@@ -875,6 +818,7 @@ def _alternate_packed(
     slack_ok = np.empty(totals.shape, dtype=bool)
     conv = np.empty(batch, dtype=bool)
     newly_mask = np.empty(batch, dtype=bool)
+    remaining = batch
     sweeps = 0
     while True:
         sweeps += 1
@@ -886,47 +830,50 @@ def _alternate_packed(
         np.greater_equal(new_totals, slack, out=slack_ok)
         converged = np.logical_and.reduce(slack_ok, axis=1, out=conv)
         totals = new_totals
-        finished = (
-            converged
-            if sweeps < max_sweeps
-            else np.ones(active.size, dtype=bool)
-        )
-        # boolean ``finished & ~done_mask`` without the two temporaries
-        newly = np.flatnonzero(np.greater(finished, done_mask, out=newly_mask))
-        if newly.size:
-            sel = active[newly]
-            out_patterns[sel] = patterns[newly]
-            out_types[sel] = _packed_types(
-                use4[newly], use_vt[newly], sweep.b01[newly]
+        if sweeps >= max_sweeps:
+            converged[:] = True
+        # boolean ``converged & ~done_mask`` without the two temporaries
+        newly = np.greater(converged, done_mask, out=newly_mask).nonzero()[0]
+        if not newly.size:
+            continue
+        sel = newly if active is None else active[newly]
+        out_patterns[sel] = patterns[newly]
+        out_use4[sel] = use4[newly]
+        out_use_vt[sel] = use_vt[newly]
+        out_totals[sel] = totals[newly]
+        out_sweeps[sel] = sweeps
+        done_mask[newly] = True
+        remaining -= newly.size
+        if remaining == 0:
+            out_totals += totals_offset[:, None]
+            return (
+                out_patterns,
+                _packed_types(out_use4, out_use_vt, b01),
+                out_totals,
+                out_sweeps,
             )
-            out_totals[sel] = totals[newly]
-            out_sweeps[sel] = sweeps
-            done_mask[newly] = True
-            remaining = active.size - int(np.count_nonzero(done_mask))
-            if remaining == 0:
-                if totals_offset is not None:
-                    out_totals += totals_offset[:, None]
-                return out_patterns, out_types, out_totals, out_sweeps
-            # finished items keep riding the batch (their outputs are
-            # frozen above, and every item's trajectory is independent
-            # of its batchmates) until a quarter of the slots are dead
-            # — at that point the dead matmul flops outweigh the
-            # slicing the compaction costs (measured: eager 1/8
-            # compaction wins for f64 sweeps but loses once the f32
-            # tier halves the flop cost; 1/4 is the robust middle)
-            if remaining * 4 <= active.size * 3:
-                keep = ~done_mask
-                active = active[keep]
-                sweep.compact(keep)
-                use4 = use4[keep]
-                use_vt = use_vt[keep]
-                totals = totals[keep]
-                done_mask = np.zeros(active.size, dtype=bool)
-                b = active.size
-                slack = slack[:b]
-                slack_ok = slack_ok[:b]
-                conv = conv[:b]
-                newly_mask = newly_mask[:b]
+        # finished items keep riding the batch (their outputs are
+        # frozen above, and every item's trajectory is independent of
+        # its batchmates) until a quarter of the slots are dead — at
+        # that point the dead matmul flops outweigh the slicing the
+        # compaction costs (measured: eager 1/8 compaction wins for f64
+        # sweeps but loses once the f32 tier halves the flop cost; 1/4
+        # is the robust middle).  A small active batch never compacts:
+        # its dead slots cost less than the dozen re-slices a
+        # compaction takes.
+        width = done_mask.size
+        if width > _COMPACT_MIN and remaining * 4 <= width * 3:
+            keep = ~done_mask
+            active = (np.arange(batch) if active is None else active)[keep]
+            sweep.compact(keep)
+            use4 = use4[keep]
+            use_vt = use_vt[keep]
+            totals = totals[keep]
+            done_mask = np.zeros(remaining, dtype=bool)
+            slack = slack[:remaining]
+            slack_ok = slack_ok[:remaining]
+            conv = conv[:remaining]
+            newly_mask = newly_mask[:remaining]
 
 
 def _alternate_batch(
@@ -1047,9 +994,8 @@ def opt_for_part(
 
     Parameters mirror the paper: ``n_initial_patterns`` is ``Z``.  The
     returned error is exact for the given cost model (no sampling).
-    ``memo`` (from :func:`memo_context`) enables the result memo; the
-    random pattern draw happens regardless, so the generator stream —
-    and therefore every downstream draw — is identical on hit and miss.
+    ``memo`` (from :func:`memo_context`) carries the ``(costs, p)``
+    context so repeated calls skip the per-context set-up.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -1058,66 +1004,53 @@ def opt_for_part(
     patterns = rng.integers(
         0, 2, size=(n_initial_patterns, partition.n_cols), dtype=np.uint8
     )
+    request = KernelRequest(
+        costs, p, [partition], n_inputs, patterns[None], max_sweeps, memo
+    )
     hub = current_hub()
     if hub is not None:
         # a fusion party: ship the drawn problem to the hub (telemetry
         # is emitted once by the executor's fused dispatch)
-        request = KernelRequest(
-            costs, p, [partition], n_inputs, patterns[None], max_sweeps, memo
-        )
         return hub.evaluate(request)[0]
     # Hot path: the disabled-telemetry branch avoids even the no-op
     # span allocation — this function dominates both algorithms.
     if not obs.enabled():
-        return _opt_single(costs, p, partition, n_inputs, patterns, max_sweeps, memo)[0]
+        return _grouped_eval([request], False)[0][0][0]
     with obs.span(
         "opt.for_part", n_bound=partition.n_bound, n_free=partition.n_free
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        result, sweeps, hit = _opt_single(
-            costs, p, partition, n_inputs, patterns, max_sweeps, memo
-        )
+        ((result,), sweeps), = _grouped_eval([request], False)
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
         span.set(sweeps=sweeps, error=result.error)
         obs.incr("opt.calls")
-        if not hit:
-            obs.incr("opt.sweeps", sweeps)
+        obs.incr("opt.sweeps", sweeps)
         obs.incr("opt.lut_entries", 2 << (n_inputs - 1))
         return result
 
 
-def _opt_single(
-    costs: BitCosts,
-    p: np.ndarray,
-    partition: Partition,
-    n_inputs: int,
-    patterns: np.ndarray,
-    max_sweeps: int,
-    memo: Optional[OptMemo],
-) -> Tuple[OptForPartResult, int, bool]:
-    """One partition with pre-drawn patterns; returns (result, sweeps, hit)."""
-    key = None
-    if memo is not None and caching.fast_paths_enabled():
-        key = memo.normal_key(partition, patterns, max_sweeps)
-        cached = _RESULT_MEMO.get(key)
-        if cached is not None:
-            return cached[0], cached[1], True
-    d0, d1 = _cost_matrices(costs, p, partition, n_inputs)
-    alternate = (
-        _alternate_batch_packed
-        if _packed_engaged(costs, p, memo)
-        else _alternate_batch
-    )
-    fin_patterns, fin_types, fin_totals, fin_sweeps = alternate(
-        d0[None], d1[None], patterns[None], max_sweeps
-    )
-    result = _best_of(partition, fin_patterns[0], fin_types[0], fin_totals[0])
-    sweeps = int(fin_sweeps[0])
-    if key is not None:
-        _RESULT_MEMO.put(key, (result, sweeps))
-    return result, sweeps, False
+def _check_patterns(stacked: np.ndarray, count: int, n_cols: int) -> None:
+    """Validate a caller's ``(N, Z, cols)`` stack of 0/1 initial patterns."""
+    if stacked.ndim != 3 or len(stacked) != count:
+        raise ValueError(
+            "stacked initial patterns must have shape (n_partitions, Z, cols)"
+        )
+    if stacked.shape[1] < 1:
+        raise ValueError("initial patterns need Z >= 1 rows per partition")
+    if stacked.shape[2] != n_cols:
+        raise ValueError(
+            f"initial patterns have {stacked.shape[2]} columns; the "
+            f"partitions' tables have {n_cols}"
+        )
+    if stacked.dtype.kind not in "bu":
+        raise ValueError(
+            f"initial patterns must be a bool or unsigned-integer array, "
+            f"got {stacked.dtype}"
+        )
+    if int(stacked.max()) > 1:
+        raise ValueError("initial patterns must hold only 0/1 values")
 
 
 def opt_for_part_many(
@@ -1144,6 +1077,8 @@ def opt_for_part_many(
     the patterns themselves and pass them in — either as a sequence of
     ``(Z, cols)`` arrays or as one stacked ``(N, Z, cols)`` array (the
     search loops build the stack directly, skipping a re-stack here).
+    Caller-supplied patterns must hold 0/1 values in a bool or unsigned
+    integer array with ``Z >= 1`` rows of the tables' column count.
 
     Results are returned in input order; each is bitwise equal to the
     corresponding single-partition call.
@@ -1168,37 +1103,37 @@ def opt_for_part_many(
         stacked = np.empty(
             (len(partitions), n_initial_patterns, shape[1]), dtype=np.uint8
         )
-        for index, partition in enumerate(partitions):
+        for index in range(len(partitions)):
             stacked[index] = rng.integers(
-                0, 2, size=(n_initial_patterns, partition.n_cols), dtype=np.uint8
+                0, 2, size=(n_initial_patterns, shape[1]), dtype=np.uint8
             )
-    elif isinstance(initial_patterns, np.ndarray):
-        if initial_patterns.ndim != 3 or len(initial_patterns) != len(partitions):
-            raise ValueError(
-                "stacked initial patterns must have shape (n_partitions, Z, cols)"
-            )
-        stacked = initial_patterns
     else:
-        initial_patterns = list(initial_patterns)
-        if len(initial_patterns) != len(partitions):
-            raise ValueError("one initial-pattern array is required per partition")
-        for patterns in initial_patterns:
-            if patterns.shape != initial_patterns[0].shape:
-                raise ValueError("initial-pattern arrays must share one shape")
-        stacked = np.stack(initial_patterns)
+        if isinstance(initial_patterns, np.ndarray):
+            stacked = initial_patterns
+        else:
+            initial_patterns = list(initial_patterns)
+            if len(initial_patterns) != len(partitions):
+                raise ValueError(
+                    "one initial-pattern array is required per partition"
+                )
+            for patterns in initial_patterns:
+                if patterns.shape != initial_patterns[0].shape:
+                    raise ValueError(
+                        "initial-pattern arrays must share one shape"
+                    )
+            stacked = np.stack(initial_patterns)
+        _check_patterns(stacked, len(partitions), shape[1])
 
+    request = KernelRequest(
+        costs, p, partitions, n_inputs, stacked, max_sweeps, memo
+    )
     hub = current_hub()
     if hub is not None:
         # a fusion party: ship the whole batch to the hub (telemetry is
         # emitted once by the executor's fused dispatch)
-        return hub.evaluate(
-            KernelRequest(costs, p, partitions, n_inputs, stacked, max_sweeps, memo)
-        )
+        return hub.evaluate(request)
     if not obs.enabled():
-        results, _, _ = _opt_many(
-            costs, p, partitions, n_inputs, stacked, max_sweeps, memo
-        )
-        return results
+        return _grouped_eval([request], False)[0][0]
     with obs.span(
         "opt.for_part_many",
         batch=len(partitions),
@@ -1207,12 +1142,10 @@ def opt_for_part_many(
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        results, total_sweeps, hits = _opt_many(
-            costs, p, partitions, n_inputs, stacked, max_sweeps, memo
-        )
+        (results, total_sweeps), = _grouped_eval([request], False)
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
-        span.set(sweeps=total_sweeps, memo_hits=hits)
+        span.set(sweeps=total_sweeps)
         obs.incr("opt.calls", len(partitions))
         obs.incr("opt.sweeps", total_sweeps)
         obs.incr("opt.lut_entries", len(partitions) * (2 << (n_inputs - 1)))
@@ -1222,10 +1155,10 @@ def opt_for_part_many(
 class KernelRequest:
     """One caller's ``opt_for_part_many`` batch, ready for fused dispatch.
 
-    Bundles everything :func:`_opt_many` consumes — the cost context,
+    Bundles everything the chunk engine consumes — the cost context,
     the partitions, the pre-drawn ``(N, Z, cols)`` pattern stack, and
-    the optional memo handle — so requests from *different* search or
-    serve contexts can ride one :func:`opt_for_part_grouped` pass.
+    the optional context handle — so requests from *different* search
+    or serve contexts can ride one :func:`opt_for_part_grouped` pass.
     The pattern stack is captured by reference; callers must not
     mutate it until the request resolves.
     """
@@ -1259,13 +1192,11 @@ def opt_for_part_grouped(
     """Fused evaluation of many callers' batches in one kernel pass.
 
     Items from all requests are grouped by table shape, candidate
-    count, sweep cap, and packed eligibility, deduplicated by memo
-    digest across requests, and executed in stacked chunks up to
-    ``_BATCH_LIMIT`` wide — each item bitwise equal to its standalone
-    :func:`opt_for_part_many` call (and the memo keeps cross-request
-    duplicates byte-identical to what a serial replay would fetch).
-    Returns one result list per request, in request order.  Telemetry:
-    a single ``opt.for_part_fused`` span covering the pass, the usual
+    count, sweep cap, and packed eligibility, and executed in stacked
+    chunks up to ``_BATCH_LIMIT`` wide — each item bitwise equal to its
+    standalone :func:`opt_for_part_many` call.  Returns one result list
+    per request, in request order.  Telemetry: a single
+    ``opt.for_part_fused`` span covering the pass, the usual
     ``opt.calls`` / ``opt.sweeps`` / ``opt.lut_entries`` counters, plus
     ``opt.fused_calls`` / ``opt.fused_items`` and an
     ``opt.fused_width`` observation per executed chunk.
@@ -1275,7 +1206,7 @@ def opt_for_part_grouped(
         return []
     total = sum(len(request.partitions) for request in requests)
     if not obs.enabled():
-        return [results for results, _, _ in _grouped_eval(requests, False)]
+        return [results for results, _ in _grouped_eval(requests, False)]
     with obs.span(
         "opt.for_part_fused", requests=len(requests), items=total
     ) as span:
@@ -1288,9 +1219,8 @@ def opt_for_part_grouped(
         evaluated = _grouped_eval(requests, True)
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
-        total_sweeps = sum(sweeps for _, sweeps, _ in evaluated)
-        hits = sum(h for _, _, h in evaluated)
-        span.set(sweeps=total_sweeps, memo_hits=hits)
+        total_sweeps = sum(sweeps for _, sweeps in evaluated)
+        span.set(sweeps=total_sweeps)
         obs.incr("opt.calls", total)
         obs.incr("opt.sweeps", total_sweeps)
         for request in requests:
@@ -1300,223 +1230,152 @@ def opt_for_part_grouped(
             )
         obs.incr("opt.fused_calls")
         obs.incr("opt.fused_items", total)
-        return [results for results, _, _ in evaluated]
+        return [results for results, _ in evaluated]
 
 
-def _opt_many(
-    costs: BitCosts,
-    p: np.ndarray,
-    partitions: List[Partition],
-    n_inputs: int,
-    stacked: np.ndarray,
-    max_sweeps: int,
-    memo: Optional[OptMemo],
-) -> Tuple[List[OptForPartResult], int, int]:
-    """Memo-aware batched evaluation; returns (results, sweeps, hits)."""
-    request = KernelRequest(
-        costs, p, partitions, n_inputs, stacked, max_sweeps, memo
-    )
-    return _grouped_eval([request], False)[0]
+def _chunks(
+    members: List[int], requests: List[KernelRequest]
+) -> Iterator[List[Tuple[int, int, int]]]:
+    """Split a group's requests into chunks of ``(request, lo, hi)`` runs.
+
+    Items keep request order; each chunk holds at most ``_BATCH_LIMIT``
+    items, as consecutive item runs of one or more requests.
+    """
+    chunk: List[Tuple[int, int, int]] = []
+    width = 0
+    for ri in members:
+        lo, count = 0, len(requests[ri].partitions)
+        while lo < count:
+            hi = min(count, lo + _BATCH_LIMIT - width)
+            chunk.append((ri, lo, hi))
+            width += hi - lo
+            lo = hi
+            if width == _BATCH_LIMIT:
+                yield chunk
+                chunk, width = [], 0
+    if chunk:
+        yield chunk
 
 
 def _grouped_eval(
     requests: List[KernelRequest], observe_fusion: bool
-) -> List[Tuple[List[OptForPartResult], int, int]]:
-    """Shared engine behind :func:`_opt_many` / :func:`opt_for_part_grouped`.
+) -> List[Tuple[List[OptForPartResult], int]]:
+    """The chunk engine behind every ``OptForPart`` entry point.
 
-    Returns ``(results, total_sweeps, memo_hits)`` per request.  With a
-    single request this runs the exact memo-probe / chunk / scatter
-    sequence the pre-fusion ``_opt_many`` ran, so the serial entry
-    points keep their bits and counters; with many requests the chunks
-    simply interleave items, which the batched sweeps are already
-    proven to keep independent.
+    Returns ``(results, total_sweeps)`` per request.  Requests are
+    grouped by ``(rows, cols, Z, max_sweeps, packed tier)``; a chunk
+    costs one gather per item into one stacked cost array, one batched
+    alternation, and one winner gather — the batched sweeps keep every
+    item independent, so chunk composition never changes a bit.
     """
-    results: List[List[Optional[OptForPartResult]]] = []
-    keys: List[List[Optional[Tuple]]] = []
-    item_sweeps: List[List[int]] = []
-    hits: List[int] = [0] * len(requests)
-    # (rows, cols, Z, max_sweeps, packed?) → [(request idx, item idx)]
+    contexts = [
+        request.memo
+        if request.memo is not None
+        else OptMemo(request.costs, request.p)
+        for request in requests
+    ]
     groups: dict = {}
-    # memo key → (request idx, item idx) of the first occurrence; later
-    # occurrences across requests alias it (a serial replay would hit
-    # the memo entry the first occurrence just wrote)
-    first_seen: dict = {}
-    aliases: List[Tuple[int, int, Tuple]] = []
-    fresh: dict = {}
-    # per-request packed tier: None (reference) / "f64" / "f32"
-    packed_flags: List[Optional[str]] = [None] * len(requests)
     for ri, request in enumerate(requests):
-        count = len(request.partitions)
-        use_memo = request.memo is not None and caching.fast_paths_enabled()
-        results.append([None] * count)
-        keys.append([None] * count)
-        item_sweeps.append([0] * count)
-        misses: List[Tuple[int, int]] = []
-        if use_memo:
-            # one pack_bits call per request stack: the memo digests
-            # sha1 the packed rows
-            packed_stack = pack_bits(request.stacked)
-            shape = request.stacked.shape[1:]
-        for ii, partition in enumerate(request.partitions):
-            if use_memo:
-                key = request.memo.normal_key_packed(
-                    partition, packed_stack[ii], shape, request.max_sweeps
-                )
-                cached = _RESULT_MEMO.get(key)
-                if cached is not None:
-                    results[ri][ii] = cached[0]
-                    hits[ri] += 1
-                    continue
-                owner = first_seen.get(key)
-                if owner is not None:
-                    aliases.append((ri, ii, key))
-                    hits[ri] += 1
-                    continue
-                first_seen[key] = (ri, ii)
-                keys[ri][ii] = key
-            misses.append((ri, ii))
-        if misses:
-            packed_flags[ri] = _packed_mode_engaged(
-                request.costs, request.p, request.memo
-            )
-            gkey = (
-                request.partitions[0].n_rows,
-                request.partitions[0].n_cols,
-                request.stacked.shape[1],
-                request.max_sweeps,
-                packed_flags[ri],
-            )
-            groups.setdefault(gkey, []).extend(misses)
+        mode = _packed_mode_engaged(request.costs, request.p, contexts[ri])
+        first = request.partitions[0]
+        gkey = (
+            first.n_rows,
+            first.n_cols,
+            request.stacked.shape[1],
+            request.max_sweeps,
+            mode,
+        )
+        groups.setdefault(gkey, []).append(ri)
 
-    # per-request weight vectors / grids, built lazily once per request
-    weight_cache: dict = {}
-
-    def _weights(ri: int):
-        cached = weight_cache.get(ri)
-        if cached is None:
-            request = requests[ri]
-            w0, w1 = request.costs.weighted(request.p)
-            if packed_flags[ri]:
-                # the packed sweep runs in relative mode: it consumes
-                # only diff = d1 - d0 (pre-differenced once, half the
-                # gather work) plus the item's *total* zero cost — a
-                # single scalar, since the per-row zero costs cancel
-                # out of every comparison and re-enter the totals as
-                # one exact offset.  ``w0.sum()`` is exact under the
-                # gate (an integer multiple of the common dyadic unit,
-                # below the overflow bound), so the re-based totals
-                # are bit-equal to building the matrices and reducing
-                # them.  In the f32 tier the grid is pre-cast once —
-                # exact (the gate bounds every value below 2**24 in
-                # units) and the per-item gathers move half the bytes.
-                wdiff = w1 - w0
-                if packed_flags[ri] == "f32":
-                    wdiff = wdiff.astype(np.float32)
-                grid = (2,) * request.n_inputs
-                cached = (wdiff.reshape(grid), float(w0.sum()))
-            else:
-                cached = (w0, w1)
-            weight_cache[ri] = cached
-        return cached
-
-    for gkey, members in groups.items():
-        rows, cols, z, group_sweeps, packed = gkey
-        for start in range(0, len(members), _BATCH_LIMIT):
-            chunk = members[start : start + _BATCH_LIMIT]
-            b = len(chunk)
-            ri0, ii0 = chunk[0]
-            if chunk[-1] == (ri0, ii0 + b - 1) and all(
-                item == (ri0, ii0 + k) for k, item in enumerate(chunk)
-            ):
-                # one request, consecutive items (the common serial
+    results: List[List[OptForPartResult]] = [[] for _ in requests]
+    sweeps = [0] * len(requests)
+    for (rows, cols, z, max_sweeps, mode), members in groups.items():
+        for chunk in _chunks(members, requests):
+            if len(chunk) == 1:
+                # one request's consecutive items (the common serial
                 # case): the caller's stack IS the chunk stack — the
-                # sweeps only read it, so skip the per-item copies
-                patterns = requests[ri0].stacked[ii0 : ii0 + b]
+                # sweeps only read it
+                ri, lo, hi = chunk[0]
+                patterns = requests[ri].stacked[lo:hi]
             else:
-                patterns = np.empty(
-                    (b, z, cols), dtype=requests[ri0].stacked.dtype
+                patterns = np.concatenate(
+                    [requests[ri].stacked[lo:hi] for ri, lo, hi in chunk]
                 )
-                for j, (ri, ii) in enumerate(chunk):
-                    patterns[j] = requests[ri].stacked[ii]
-            if packed:
-                dtype = np.float32 if packed == "f32" else np.float64
-                diff = np.empty((b, rows, cols), dtype=dtype)
-                offsets = np.empty(b)
-                for j, (ri, ii) in enumerate(chunk):
-                    request = requests[ri]
-                    wdiff_grid, zc_total = _weights(ri)
-                    axes = _partition_axes(
-                        request.partitions[ii], request.n_inputs
-                    )
-                    np.copyto(
-                        diff[j].reshape(wdiff_grid.shape),
-                        wdiff_grid.transpose(axes),
-                    )
-                    offsets[j] = zc_total
-                # relative mode: the diff row sums are the only per-row
-                # state the packed sweep needs (exact integer-scaled
-                # sums under the gate, so any association order gives
-                # the same bits); each item's total zero cost re-bases
+            b = len(patterns)
+            if mode:
+                # relative mode: each item's total zero cost re-bases
                 # its final totals
+                diff = np.empty(
+                    (b, rows * cols),
+                    dtype=np.float32 if mode == "f32" else np.float64,
+                )
+                offsets = np.empty(b)
+                j = 0
+                for ri, lo, hi in chunk:
+                    request = requests[ri]
+                    wdiff, offset = contexts[ri].packed_grid(mode)
+                    offsets[j : j + hi - lo] = offset
+                    for partition in request.partitions[lo:hi]:
+                        wdiff.take(
+                            gather_index(partition, request.n_inputs),
+                            out=diff[j],
+                            mode="clip",
+                        )
+                        j += 1
                 fin_patterns, fin_types, fin_totals, fin_sweeps = (
                     _alternate_packed(
-                        diff, None, diff.sum(axis=2), patterns,
-                        group_sweeps, totals_offset=offsets,
+                        diff.reshape(b, rows, cols),
+                        patterns,
+                        max_sweeps,
+                        offsets,
                     )
                 )
             else:
-                # gather each item's table straight into its batch slot
-                # — one pass instead of to_matrix allocations + np.stack
-                d0 = np.empty((b, rows, cols))
+                d0 = np.empty((b, rows * cols))
                 d1 = np.empty_like(d0)
-                for j, (ri, ii) in enumerate(chunk):
+                j = 0
+                for ri, lo, hi in chunk:
                     request = requests[ri]
-                    w0, w1 = _weights(ri)
-                    idx = gather_index(request.partitions[ii], request.n_inputs)
-                    np.take(w0, idx, out=d0[j].reshape(-1))
-                    np.take(w1, idx, out=d1[j].reshape(-1))
+                    w0, w1 = contexts[ri].weights()
+                    for partition in request.partitions[lo:hi]:
+                        idx = gather_index(partition, request.n_inputs)
+                        w0.take(idx, out=d0[j], mode="clip")
+                        w1.take(idx, out=d1[j], mode="clip")
+                        j += 1
                 fin_patterns, fin_types, fin_totals, fin_sweeps = (
-                    _alternate_batch(d0, d1, patterns, group_sweeps)
+                    _alternate_batch(
+                        d0.reshape(b, rows, cols),
+                        d1.reshape(b, rows, cols),
+                        patterns,
+                        max_sweeps,
+                    )
                 )
             if observe_fusion:
                 obs.observe("opt.fused_width", b)
-            # one argmin pass for the whole chunk; ties break exactly
-            # like the per-item _best_of (first index wins)
+            # one argmin and one fancy-index gather of the winners for
+            # the whole chunk (first index wins ties, like _best_of);
+            # the per-item rows below are views into the gathered
+            # arrays, which own their data
             winners = fin_totals.argmin(axis=1)
-            # gather every winner in one fancy-index pass — the result
-            # owns its data, so the per-item rows below are views into
-            # it rather than 2B separate slice+copy numpy calls
             arange_b = np.arange(b)
             best_patterns = fin_patterns[arange_b, winners]
             best_types = fin_types[arange_b, winners]
             best_totals = fin_totals[arange_b, winners].tolist()
-            sweeps_list = fin_sweeps.tolist()
-            stores: List[Tuple] = []
-            for j, (ri, ii) in enumerate(chunk):
-                decomposition = DisjointDecomposition._trusted(
-                    requests[ri].partitions[ii],
-                    best_patterns[j],
-                    best_types[j],
-                )
-                result = OptForPartResult(best_totals[j], decomposition)
-                results[ri][ii] = result
-                item_sweeps[ri][ii] = sweeps_list[j]
-                key = keys[ri][ii]
-                if key is not None:
-                    entry = (result, sweeps_list[j])
-                    stores.append((key, entry))
-                    fresh[key] = entry
-            if stores:
-                # one lock hold per chunk instead of one per item
-                _RESULT_MEMO.put_many(stores)
-
-    for ri, ii, key in aliases:
-        results[ri][ii] = fresh[key][0]
-
-    return [
-        (results[ri], sum(item_sweeps[ri]), hits[ri])  # type: ignore[misc]
-        for ri in range(len(requests))
-    ]
+            j = 0
+            for ri, lo, hi in chunk:
+                out = results[ri]
+                for partition in requests[ri].partitions[lo:hi]:
+                    out.append(
+                        OptForPartResult(
+                            best_totals[j],
+                            DisjointDecomposition._trusted(
+                                partition, best_patterns[j], best_types[j]
+                            ),
+                        )
+                    )
+                    j += 1
+                sweeps[ri] += int(fin_sweeps[j - (hi - lo) : j].sum())
+    return list(zip(results, sweeps))
 
 
 def opt_for_part_bto(
@@ -1541,21 +1400,11 @@ def opt_for_part_bto(
             if obs.enabled():
                 obs.incr("opt.bto_calls")
             return cached
-    if _packed_engaged(costs, p, memo):
-        # packed tier: only the per-column sums are needed, so skip the
-        # (rows x cols) matrix builds and sum the transposed weight
-        # grids down the row axis — exact under the eligibility gate,
-        # hence bit-equal to the matrix route
-        w0, w1 = costs.weighted(p)
-        grid = (2,) * n_inputs
-        axes = _partition_axes(partition, n_inputs)
-        table = (partition.n_rows, partition.n_cols)
-        cost_zero = w0.reshape(grid).transpose(axes).reshape(table).sum(axis=0)
-        cost_one = w1.reshape(grid).transpose(axes).reshape(table).sum(axis=0)
-    else:
-        d0, d1 = _cost_matrices(costs, p, partition, n_inputs)
-        cost_zero = d0.sum(axis=0)
-        cost_one = d1.sum(axis=0)
+    w0, w1 = memo.weights() if memo is not None else costs.weighted(p)
+    idx = gather_index(partition, n_inputs)
+    table = (partition.n_rows, partition.n_cols)
+    cost_zero = w0[idx].reshape(table).sum(axis=0)
+    cost_one = w1[idx].reshape(table).sum(axis=0)
     pattern = (cost_one < cost_zero).astype(np.uint8)
     error = float(np.minimum(cost_zero, cost_one).sum())
     result = OptForPartResult(error, BoundOnlyDecomposition(partition, pattern))

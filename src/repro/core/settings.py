@@ -10,7 +10,7 @@ the active LSB model (predictive for BS-SA, accurate for DALTA).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,19 +34,29 @@ class Setting:
         its own mode (``normal`` / ``bto`` / ``nd``).
     """
 
-    __slots__ = ("error", "decomposition")
+    __slots__ = ("error", "decomposition", "_bits")
 
     def __init__(self, error: float, decomposition: Decomposition) -> None:
         self.error = float(error)
         self.decomposition = decomposition
+        self._bits: Optional[Tuple[int, np.ndarray]] = None
 
     @property
     def mode(self) -> str:
         return self.decomposition.mode
 
     def bits(self, n_inputs: int) -> np.ndarray:
-        """Truth table of the approximate component function."""
-        return self.decomposition.evaluate(n_inputs)
+        """Truth table of the approximate component function.
+
+        Decompositions are immutable, so the table is evaluated once and
+        returned read-only on every later call.
+        """
+        cached = self._bits
+        if cached is None or cached[0] != n_inputs:
+            table = self.decomposition.evaluate(n_inputs)
+            table.setflags(write=False)
+            cached = self._bits = (n_inputs, table)
+        return cached[1]
 
     def __repr__(self) -> str:
         return f"Setting(error={self.error:.4g}, mode={self.mode!r})"

@@ -478,7 +478,8 @@ def _pool_worker(
     tasks,
     results,
     memo_capacity: int,
-    metrics_interval: Optional[float] = None,
+    metrics_interval: Optional[float],
+    parent_pid: int,
 ) -> None:
     """Persistent worker loop: recv job → sync memo → execute → reply.
 
@@ -525,13 +526,15 @@ def _pool_worker(
     # pipe ends, so a SIGKILLed pool parent never produces an EOF on
     # ``tasks`` — the write end survives in the other orphans.  Poll
     # with a timeout and watch for re-parenting instead: a worker whose
-    # parent died exits on its own rather than lingering forever.
-    parent = os.getppid()
+    # parent died exits on its own rather than lingering forever.  The
+    # parent's pid comes from the pool itself: a worker that starts
+    # after its parent already died would read its adoptive parent from
+    # ``os.getppid()`` and never see the change.
     orphaned = False
     while True:
         try:
             while not tasks.poll(1.0):
-                if os.getppid() != parent:
+                if os.getppid() != parent_pid:
                     orphaned = True
                     break
             if orphaned:
@@ -761,6 +764,7 @@ class WorkerPool:
                 result_send,
                 self.memo_capacity,
                 self.metrics_interval,
+                os.getpid(),
             ),
             daemon=True,
         )

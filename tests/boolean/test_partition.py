@@ -1,9 +1,13 @@
 """Unit tests for variable partitions."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.boolean import Partition, all_partitions, partition_count, random_partition
+from repro.boolean.partition import _from_masks
 
 
 class TestConstruction:
@@ -129,3 +133,129 @@ class TestGenerators:
 
     def test_str(self):
         assert str(Partition((1,), (0,))) == "A={x2} B={x1}"
+
+
+# ----------------------------------------------------------------------
+# The bitmask representation against the tuple-based one it replaced
+# ----------------------------------------------------------------------
+def _tuple_neighbours(free, bound):
+    """Neighbour enumeration of the tuple representation, in order."""
+    return [
+        (
+            tuple(sorted(set(free) - {a} | {b})),
+            tuple(sorted(set(bound) - {b} | {a})),
+        )
+        for a in free
+        for b in bound
+    ]
+
+
+def _tuple_random_partition(n_inputs, bound_size, rng):
+    """``random_partition`` as the tuple representation drew it."""
+    variables = rng.permutation(n_inputs)
+    bound = tuple(int(v) for v in variables[:bound_size])
+    free = tuple(int(v) for v in variables[bound_size:])
+    return tuple(sorted(free)), tuple(sorted(bound))
+
+
+def _tuple_sample_neighbours(free, bound, count, rng):
+    """``sample_neighbours`` as the tuple representation drew it."""
+    total = len(free) * len(bound)
+    if count >= total:
+        return _tuple_neighbours(free, bound)
+    picks = rng.choice(total, size=count, replace=False)
+    result = []
+    for pick in picks:
+        a = free[int(pick) // len(bound)]
+        b = bound[int(pick) % len(bound)]
+        result.append(
+            (
+                tuple(sorted(set(free) - {a} | {b})),
+                tuple(sorted(set(bound) - {b} | {a})),
+            )
+        )
+    return result
+
+
+def _as_tuples(partition):
+    return partition.free, partition.bound
+
+
+@st.composite
+def _splits(draw):
+    n_inputs = draw(st.integers(2, 10))
+    order = draw(st.permutations(list(range(n_inputs))))
+    bound_size = draw(st.integers(1, n_inputs - 1))
+    return n_inputs, tuple(order[bound_size:]), tuple(order[:bound_size])
+
+
+class TestBitmaskView:
+    @given(_splits())
+    @settings(max_examples=150, deadline=None)
+    def test_view_agrees_with_tuple_construction(self, split):
+        n_inputs, free, bound = split
+        built = Partition(free, bound)
+        # the same partition through the trusted bitmask constructor,
+        # whose tuple views are derived from the masks on first use
+        viewed = _from_masks(
+            sum(1 << v for v in free), sum(1 << v for v in bound),
+            len(free), len(bound),
+        )
+        assert viewed.free == built.free == tuple(sorted(free))
+        assert viewed.bound == built.bound == tuple(sorted(bound))
+        assert (viewed.n_rows, viewed.n_cols) == (built.n_rows, built.n_cols)
+        assert viewed == built and hash(viewed) == hash(built) == built.mask
+        twin = Partition(tuple(reversed(free)), tuple(reversed(bound)))
+        assert twin == built and hash(twin) == hash(built)
+        assert [_as_tuples(nb) for nb in built.neighbours()] == (
+            _tuple_neighbours(built.free, built.bound)
+        )
+        for nb, (nb_free, nb_bound) in zip(
+            built.neighbours(), _tuple_neighbours(built.free, built.bound)
+        ):
+            assert nb == Partition(nb_free, nb_bound)
+            assert hash(nb) == hash(Partition(nb_free, nb_bound))
+            assert built.is_neighbour_of(nb)
+
+    def test_pickle_round_trip(self):
+        partition = random_partition(9, 4, np.random.default_rng(1))
+        clone = pickle.loads(pickle.dumps(partition))
+        assert clone == partition and clone.free == partition.free
+
+    def test_immutable(self):
+        partition = Partition((2, 3), (0, 1))
+        with pytest.raises(AttributeError):
+            partition.mask = 1
+
+
+class TestSeedPins:
+    """Same partitions, same generator state as the tuple representation."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize(
+        "n_inputs,bound_size", [(4, 2), (8, 3), (12, 7), (16, 9)]
+    )
+    def test_random_partition(self, seed, n_inputs, bound_size):
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        for _ in range(25):
+            drawn = random_partition(n_inputs, bound_size, rng_new)
+            assert _as_tuples(drawn) == _tuple_random_partition(
+                n_inputs, bound_size, rng_old
+            )
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 34, 35, 40])
+    def test_sample_neighbours(self, seed, count):
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        current = random_partition(12, 7, np.random.default_rng(seed + 100))
+        for _ in range(10):
+            sampled = current.sample_neighbours(count, rng_new)
+            expected = _tuple_sample_neighbours(
+                current.free, current.bound, count, rng_old
+            )
+            assert [_as_tuples(nb) for nb in sampled] == expected
+            current = sampled[-1]
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.boolean import Partition, random_partition
 from repro.core import (
     AlgorithmConfig,
     SearchStats,
@@ -10,6 +11,7 @@ from repro.core import (
     find_best_settings,
     run_bssa,
 )
+from repro.core.bs_sa import _draw_patterns
 from repro.metrics import distributions, med
 
 from ..conftest import random_bits, random_function
@@ -225,3 +227,75 @@ class TestMultiChainSA:
 
         with pytest.raises(ValueError):
             replace(AlgorithmConfig.fast(), n_chains=0)
+
+
+class TestStackedPatternDraw:
+    """One stacked draw equals the per-item draws of the serial loop."""
+
+    @staticmethod
+    def _per_item(partitions, z, rng):
+        return [
+            rng.integers(0, 2, size=(z, part.n_cols), dtype=np.uint8)
+            for part in partitions
+        ]
+
+    @staticmethod
+    def _shipped_shapes():
+        configs = (
+            AlgorithmConfig.paper_bssa(),
+            AlgorithmConfig.paper_dalta(),
+            AlgorithmConfig.reduced(),
+            AlgorithmConfig.fast(),
+        )
+        shapes = set()
+        for config in configs:
+            for n_inputs in range(4, 17):
+                clamped = config.for_inputs(n_inputs)
+                shapes.add(
+                    (n_inputs, clamped.bound_size, clamped.n_initial_patterns)
+                )
+        return sorted(shapes)
+
+    def test_every_shipped_shape_matches_per_item_draws(self):
+        for n_inputs, bound_size, z in self._shipped_shapes():
+            config = AlgorithmConfig(
+                bound_size=bound_size, n_initial_patterns=z
+            )
+            parts = [
+                random_partition(
+                    n_inputs, bound_size, np.random.default_rng(i)
+                )
+                for i in range(5)
+            ]
+            stacked_rng = np.random.default_rng(n_inputs * 100 + bound_size)
+            loop_rng = np.random.default_rng(n_inputs * 100 + bound_size)
+            stacked = _draw_patterns(parts, config, stacked_rng)
+            expected = self._per_item(parts, z, loop_rng)
+            assert stacked.shape == (5, z, 1 << bound_size)
+            assert stacked.tobytes() == np.stack(expected).tobytes()
+            assert (
+                stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+            )
+
+    def test_odd_shape_takes_the_per_item_fallback(self):
+        # Z * cols = 3 * 2 is not a whole number of 32-bit words: one
+        # stacked draw would differ from the serial stream
+        config = AlgorithmConfig(bound_size=1, n_initial_patterns=3)
+        parts = [Partition((1,), (0,)), Partition((0,), (1,))] * 2
+        stacked_rng = np.random.default_rng(5)
+        loop_rng = np.random.default_rng(5)
+        drawn = _draw_patterns(parts, config, stacked_rng)
+        expected = np.stack(self._per_item(parts, 3, loop_rng))
+        assert drawn.tobytes() == expected.tobytes()
+        assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+        one_draw = np.random.default_rng(5).integers(
+            0, 2, size=(4, 3, 2), dtype=np.uint8
+        )
+        assert one_draw.tobytes() != expected.tobytes()
+
+    def test_empty_batch_draws_nothing(self):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        drawn = _draw_patterns([], AlgorithmConfig.reduced(), rng)
+        assert drawn.shape[0] == 0
+        assert rng.bit_generator.state == state

@@ -1,10 +1,10 @@
 """Differential tests for the OptForPart performance layer.
 
 Every fast path (cached gather indices, batched ``opt_for_part_many``,
-the LRU result memo) must be *bit-exact*: identical errors, identical
-pattern/type bytes, identical downstream generator streams.  These
-tests pin that contract against the serial reference implementation
-(``caching.fast_paths(False)``).
+the BTO / exhaustive result memo) must be *bit-exact*: identical
+errors, identical pattern/type bytes, identical downstream generator
+streams.  These tests pin that contract against the serial reference
+implementation (``caching.fast_paths(False)``).
 """
 
 from __future__ import annotations
@@ -200,33 +200,32 @@ class TestResultMemo:
         costs, p = _instance(8, seed=11)
         memo = memo_context(costs, p)
         partition = random_partition(8, 4, np.random.default_rng(6))
-        first = opt_for_part(
-            costs, p, partition, 8, rng=np.random.default_rng(0), memo=memo
-        )
+        first = opt_for_part_bto(costs, p, partition, 8, memo=memo)
         stats = caching.cache_stats()["opt.memo"]
         assert stats["misses"] == 1 and stats["hits"] == 0
-        second = opt_for_part(
-            costs, p, partition, 8, rng=np.random.default_rng(0), memo=memo
-        )
+        second = opt_for_part_bto(costs, p, partition, 8, memo=memo)
         stats = caching.cache_stats()["opt.memo"]
         assert stats["hits"] == 1
         _same_result(first, second)
 
     def test_rng_stream_identical_on_hit_and_miss(self):
+        """The randomised variant is never memoised: with a context
+        handle or without, fast paths on or off, the result and the
+        generator stream are the same."""
         costs, p = _instance(8, seed=13)
         memo = memo_context(costs, p)
         partition = random_partition(8, 4, np.random.default_rng(9))
-        # warm the memo with an independent generator
         opt_for_part(
             costs, p, partition, 8, rng=np.random.default_rng(1), memo=memo
         )
-        rng_hit = np.random.default_rng(1)
-        rng_miss = np.random.default_rng(1)
-        hit = opt_for_part(costs, p, partition, 8, rng=rng_hit, memo=memo)
-        with caching.fast_paths(False):  # memo disabled -> recompute
-            miss = opt_for_part(costs, p, partition, 8, rng=rng_miss)
-        _same_result(hit, miss)
-        assert rng_hit.bit_generator.state == rng_miss.bit_generator.state
+        rng_fast = np.random.default_rng(1)
+        rng_slow = np.random.default_rng(1)
+        fast = opt_for_part(costs, p, partition, 8, rng=rng_fast, memo=memo)
+        with caching.fast_paths(False):
+            slow = opt_for_part(costs, p, partition, 8, rng=rng_slow)
+        _same_result(fast, slow)
+        assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+        assert caching.cache_stats()["opt.memo"]["size"] == 0
 
     def test_memo_distinguishes_contexts(self):
         costs_a, p = _instance(6, seed=3)
@@ -295,8 +294,14 @@ class TestPipelineBitExact:
 
     def test_warm_memo_rerun_is_identical(self):
         target = random_function(8, 3, np.random.default_rng(5), name="w")
-        cold = run_bssa(target, self.CONFIG, rng=np.random.default_rng(31))
-        # same seed again, caches still warm: every OptForPart memoises
-        warm = run_bssa(target, self.CONFIG, rng=np.random.default_rng(31))
+        cold = run_bssa(
+            target, self.CONFIG, rng=np.random.default_rng(31),
+            architecture="bto-normal",
+        )
+        # same seed again, caches still warm: every BTO call memoises
+        warm = run_bssa(
+            target, self.CONFIG, rng=np.random.default_rng(31),
+            architecture="bto-normal",
+        )
         assert _run_fingerprint(cold) == _run_fingerprint(warm)
         assert caching.cache_stats()["opt.memo"]["hits"] > 0

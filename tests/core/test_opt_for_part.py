@@ -189,3 +189,60 @@ class TestParameters:
         p = p / p.sum()
         result = opt_for_part(costs, p, partition, n, rng=rng)
         assert result.error == pytest.approx(0.0)
+
+
+class TestInitialPatternValidation:
+    """Caller-supplied ``(N, Z, cols)`` stacks are checked up front."""
+
+    def _problem(self):
+        n = 6
+        bits = random_bits(n, np.random.default_rng(5))
+        partitions = [
+            Partition((3, 4, 5), (0, 1, 2)),
+            Partition((0, 4, 5), (1, 2, 3)),
+        ]
+        return _single_bit_costs(bits), distributions.uniform(n), partitions, n
+
+    def test_non_binary_values_rejected(self):
+        costs, p, partitions, n = self._problem()
+        sevens = np.full((2, 4, 8), 7, dtype=np.uint8)
+        with pytest.raises(ValueError, match="0/1"):
+            opt_for_part_many(costs, p, partitions, n, initial_patterns=sevens)
+
+    def test_zero_candidates_rejected(self):
+        costs, p, partitions, n = self._problem()
+        empty = np.zeros((2, 0, 8), dtype=np.uint8)
+        with pytest.raises(ValueError, match="Z >= 1"):
+            opt_for_part_many(costs, p, partitions, n, initial_patterns=empty)
+
+    def test_wrong_width_rejected(self):
+        costs, p, partitions, n = self._problem()
+        narrow = np.zeros((2, 4, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="4 columns.*8"):
+            opt_for_part_many(costs, p, partitions, n, initial_patterns=narrow)
+        with pytest.raises(ValueError, match="4 columns.*8"):
+            opt_for_part_many(
+                costs, p, partitions, n, initial_patterns=list(narrow)
+            )
+
+    def test_signed_or_float_dtype_rejected(self):
+        costs, p, partitions, n = self._problem()
+        floats = np.zeros((2, 4, 8))
+        with pytest.raises(ValueError, match="bool or unsigned"):
+            opt_for_part_many(costs, p, partitions, n, initial_patterns=floats)
+
+    def test_bool_stack_matches_uint8(self):
+        costs, p, partitions, n = self._problem()
+        stack = np.random.default_rng(2).integers(
+            0, 2, (2, 4, 8), dtype=np.uint8
+        )
+        as_uint8 = opt_for_part_many(
+            costs, p, partitions, n, initial_patterns=stack
+        )
+        as_bool = opt_for_part_many(
+            costs, p, partitions, n, initial_patterns=stack.astype(bool)
+        )
+        for a, b in zip(as_uint8, as_bool):
+            assert a.error == b.error
+            assert a.pattern.tobytes() == b.pattern.tobytes()
+            assert a.types.tobytes() == b.types.tobytes()

@@ -99,10 +99,10 @@ class TestEligibilityGate:
         costs, p = _uniform_instance(7, seed=6)
         memo = memo_context(costs, p)
         assert memo.packed_ok is None
-        assert _kernel()._packed_engaged(costs, p, memo)
+        assert _kernel()._packed_mode_engaged(costs, p, memo) is not None
         assert memo.packed_ok is True
         # a cached verdict short-circuits the array scans entirely
-        assert _kernel()._packed_engaged(costs, p, memo)
+        assert _kernel()._packed_mode_engaged(costs, p, memo) is not None
 
 
 class TestKernelByteIdentity:
@@ -176,22 +176,16 @@ class TestKernelByteIdentity:
         _same_result(on, off)
 
     def test_memoised_result_matches_reference(self):
-        """A memo warmed under packing replays reference-identical bytes."""
+        """A BTO memo warmed under packing replays reference bytes."""
         costs, p = _uniform_instance(8, seed=43)
         partition = random_partition(8, 4, np.random.default_rng(7))
         memo = memo_context(costs, p)
         with caching.packed_kernel(True):
-            first = opt_for_part(
-                costs, p, partition, 8, rng=np.random.default_rng(1), memo=memo
-            )
-            replay = opt_for_part(
-                costs, p, partition, 8, rng=np.random.default_rng(1), memo=memo
-            )
+            first = opt_for_part_bto(costs, p, partition, 8, memo=memo)
+            replay = opt_for_part_bto(costs, p, partition, 8, memo=memo)
         assert caching.cache_stats()["opt.memo"]["hits"] == 1
         with caching.fast_paths(False):
-            reference = opt_for_part(
-                costs, p, partition, 8, rng=np.random.default_rng(1)
-            )
+            reference = opt_for_part_bto(costs, p, partition, 8)
         _same_result(first, replay)
         _same_result(first, reference)
 

@@ -263,6 +263,41 @@ class TestPoolExecution:
         assert counters.get("pool.shm_bytes", 0) > 0
 
 
+class TestWorkerOrphanExit:
+    def test_worker_whose_parent_is_gone_exits(self):
+        """A worker started after its pool parent died still exits.
+
+        Its pid argument names a process that has already exited, as
+        when the pool parent is SIGKILLed between spawning a worker
+        and the worker's start-up.  The test keeps the task pipe's
+        write end open, so no EOF arrives: only the re-parenting check
+        can end the worker.
+        """
+        context = pool_mod._preferred_context()
+        gone = context.Process(target=os.getpid)
+        gone.start()
+        gone.join()
+        task_recv, task_send = context.Pipe(duplex=False)
+        result_recv, result_send = context.Pipe(duplex=False)
+        worker = context.Process(
+            target=pool_mod._pool_worker,
+            args=(0, task_recv, result_send, 16, None, gone.pid),
+            daemon=True,
+        )
+        worker.start()
+        task_recv.close()
+        result_send.close()
+        worker.join(timeout=60)
+        still_running = worker.is_alive()
+        if still_running:
+            worker.kill()
+            worker.join()
+        task_send.close()
+        result_recv.close()
+        assert not still_running
+        assert worker.exitcode == 0
+
+
 class TestEngineConfigValidation:
     def test_backend_validated(self):
         with pytest.raises(ValueError):

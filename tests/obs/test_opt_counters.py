@@ -75,12 +75,8 @@ class TestEnabled:
         memo = memo_context(costs, p)
         sink = obs.MemorySink()
         with obs.session(sink):
-            opt_for_part(
-                costs, p, partition, 6, rng=np.random.default_rng(3), memo=memo
-            )
-            opt_for_part(
-                costs, p, partition, 6, rng=np.random.default_rng(3), memo=memo
-            )
+            opt_for_part_bto(costs, p, partition, 6, memo=memo)
+            opt_for_part_bto(costs, p, partition, 6, memo=memo)
         counters = sink.counters()
         assert counters.get("opt.cache_miss") == 1
         assert counters.get("opt.cache_hit") == 1
