@@ -2,37 +2,24 @@
 
 The packed OptForPart tier restructures the kernel's arithmetic under
 a dyadic-exactness gate (see docs/performance.md), so its snapshot is
-a four-way differential of the full Table-II protocol:
+a three-way differential of the full Table-II protocol:
 
 * **packed** — fast paths on, ``REPRO_PACKED_KERNEL`` on (the
   shipping default);
 * **fast** — fast paths on, packed tier off (the previous fast
   kernel, isolating the tier's own contribution);
 * **reference** — ``fast_paths(False)``: the serial reference
-  implementation every fast path is pinned against;
-* **fused** — packed tier on *and* the whole campaign run through
-  ``run_table2_fused``: every run executes concurrently under one
-  FusionHub so independent OptForPart batches merge into wide grouped
-  kernel passes (``opt_for_part_grouped``).
+  implementation every fast path is pinned against.
 
 Every pass runs under telemetry and reports its wall clock and two
 OptForPart phase totals: the ``opt.for_part*`` *span* sum (wall
 seconds inside the kernel entry points) and the
 ``opt.for_part_cpu_seconds`` *CPU* sum (per-thread CPU seconds over
-the same calls).  For the three serial modes the two agree to within
-telemetry overhead; for the fused mode the span sum double-counts —
-the kernel executor timeshares one interpreter with the still-running
-campaign threads, so its wall spans absorb their CPU slices — and the
-CPU sum is the honest phase cost.  Cross-mode speedups therefore
-compare CPU phase to CPU phase (``fused_opt_phase_vs_packed``) while
-the legacy span-based ratios are kept for the serial modes.  The
-per-benchmark MEDs of all four modes are asserted **byte-identical**:
-neither the packed sweep nor fusion may change a single output bit.
-``engagement`` records how many kernel calls the eligibility gate
-accepted, and ``fusion`` how wide the grouped passes actually ran
-(``opt.fused_calls`` / ``opt.fused_items`` / the ``opt.fused_width``
-histogram) — a snapshot where the gate declined the protocol's
-instances, or where every "fused" chunk held one item, would be
+the same calls); the two agree to within telemetry overhead.  The
+per-benchmark MEDs of all three modes are asserted **byte-identical**:
+the packed sweep may not change a single output bit.  ``engagement``
+records how many kernel calls the eligibility gate accepted — a
+snapshot where the gate declined the protocol's instances would be
 measuring nothing.
 
 Usage::
@@ -57,7 +44,6 @@ from pathlib import Path
 
 from repro import caching, obs
 from repro.experiments import ExperimentScale, run_table2
-from repro.experiments.table2 import run_table2_fused
 
 from benchmarks import snapshot_provenance
 
@@ -83,21 +69,19 @@ def _opt_phase_total(phase_timings: dict) -> float:
     )
 
 
-def _run_pass(scale, base_seed: int, runner=run_table2):
+def _run_pass(scale, base_seed: int):
     """One cold telemetered protocol pass.
 
     Returns ``(wall, span_phase, cpu_phase, result, summary)``.  The
     wall clock includes telemetry overhead, but all modes pay it
     identically, so the recorded ratios stay meaningful.  ``cpu_phase``
-    sums the per-call ``opt.for_part_cpu_seconds`` observations — the
-    phase metric that stays honest when ``runner`` timeshares kernel
-    calls with concurrent campaign threads (see module docstring).
+    sums the per-call ``opt.for_part_cpu_seconds`` observations.
     """
     caching.clear_caches()
     sink = obs.MemorySink()
     start = time.perf_counter()
     with obs.session(sink):
-        result = runner(scale, base_seed=base_seed)
+        result = run_table2(scale, base_seed=base_seed)
     wall = time.perf_counter() - start
     summary = obs.summarize.summarize(sink.records)
     cpu_hist = summary.histograms.get(_OPT_CPU)
@@ -146,10 +130,9 @@ def main(argv=None) -> int:
     }
 
     runs = {
-        "packed": (caching.packed_kernel, True, run_table2),
-        "fast": (caching.packed_kernel, False, run_table2),
-        "reference": (caching.fast_paths, False, run_table2),
-        "fused": (caching.packed_kernel, True, run_table2_fused),
+        "packed": (caching.packed_kernel, True),
+        "fast": (caching.packed_kernel, False),
+        "reference": (caching.fast_paths, False),
     }
     modes = {
         name: {
@@ -162,10 +145,10 @@ def main(argv=None) -> int:
         for name in runs
     }
     for _ in range(args.repeats):
-        for name, (context, flag, runner) in runs.items():
+        for name, (context, flag) in runs.items():
             with context(flag):
                 wall, phase, cpu_phase, result, summary = _run_pass(
-                    scale, args.base_seed, runner
+                    scale, args.base_seed
                 )
             modes[name]["walls"].append(wall)
             modes[name]["phases"].append(phase)
@@ -173,7 +156,7 @@ def main(argv=None) -> int:
             modes[name].update(result=result, summary=summary)
 
     packed_meds = _meds(modes["packed"]["result"])
-    for name in ("fast", "reference", "fused"):
+    for name in ("fast", "reference"):
         if _meds(modes[name]["result"]) != packed_meds:
             print(
                 f"FAIL: packed tier changed the protocol outputs vs {name}",
@@ -192,8 +175,6 @@ def main(argv=None) -> int:
         "packed": "fast paths + packed kernel tier (shipping default)",
         "fast": "fast paths with the packed tier disabled",
         "reference": "fast_paths(False): serial reference implementation",
-        "fused": "packed tier + fused cross-run kernel dispatch "
-        "(run_table2_fused)",
     }
     for name, mode in modes.items():
         snapshot[name] = {
@@ -205,24 +186,13 @@ def main(argv=None) -> int:
             "opt_phase_cpu_seconds": mode["cpu_phases"],
             "opt_phase_cpu_min": min(mode["cpu_phases"]),
         }
-    # span sums double-count under fused timesharing (module docstring)
-    snapshot["fused"]["phase_basis"] = "cpu"
-
     packed_phase = snapshot["packed"]["opt_phase_min"]
-    fused_cpu = snapshot["fused"]["opt_phase_cpu_min"]
     snapshot["speedup"] = {
         "opt_phase_vs_reference": snapshot["reference"]["opt_phase_min"]
         / packed_phase,
         "opt_phase_vs_fast": snapshot["fast"]["opt_phase_min"] / packed_phase,
         "wall_vs_reference": snapshot["reference"]["min"]
         / snapshot["packed"]["min"],
-        # CPU-phase vs CPU-phase: the honest cross-mode comparison
-        "fused_opt_phase_vs_packed": snapshot["packed"]["opt_phase_cpu_min"]
-        / fused_cpu,
-        "fused_opt_phase_vs_reference": snapshot["reference"][
-            "opt_phase_cpu_min"
-        ]
-        / fused_cpu,
     }
 
     counters = modes["packed"]["summary"].counters
@@ -236,38 +206,6 @@ def main(argv=None) -> int:
         print(
             "FAIL: the eligibility gate never engaged the packed sweep — "
             "the snapshot would be measuring the fast kernel twice",
-            file=sys.stderr,
-        )
-        return 1
-
-    fused_summary = modes["fused"]["summary"]
-    fused_calls = fused_summary.counters.get("opt.fused_calls", 0)
-    fused_items = fused_summary.counters.get("opt.fused_items", 0)
-    width_hist = fused_summary.histograms.get("opt.fused_width")
-    snapshot["fusion"] = {
-        "fused_calls": fused_calls,
-        "fused_items": fused_items,
-        # mean items per grouped kernel invocation — the engagement
-        # ratio the regression gate ratchets (1.0 == fusion never
-        # merged anything)
-        "engagement_ratio": (fused_items / fused_calls) if fused_calls else 0.0,
-        "chunk_width_mean": (
-            width_hist.total / width_hist.count
-            if width_hist is not None and width_hist.count
-            else 0.0
-        ),
-        "chunk_width_max": (
-            width_hist.max if width_hist is not None and width_hist.count else 0
-        ),
-        "packed_f32_calls": fused_summary.counters.get(
-            "opt.packed_f32_calls", 0
-        ),
-    }
-    if not fused_calls or snapshot["fusion"]["engagement_ratio"] <= 1.0:
-        print(
-            "FAIL: the fused pass never merged kernel calls — every "
-            "grouped invocation held a single item, so the fused mode "
-            "measured serial dispatch",
             file=sys.stderr,
         )
         return 1

@@ -133,10 +133,10 @@ class LruCache:
     """A small least-recently-used map with hit/miss accounting.
 
     Mutations take a private re-entrant lock: the algorithms are
-    single-threaded per process, but the kernel-fusion executor
-    (``repro.core.fusion``) runs a grouped kernel pass while its party
-    threads may still be probing the same caches inline, so the
-    OrderedDict operations must not interleave.  Uncontended, the lock
+    single-threaded per process, but ``repro serve`` probes its caches
+    from HTTP handler threads while the dispatcher thread compiles
+    (inline) and fills them, so the OrderedDict operations must not
+    interleave.  Uncontended, the lock
     costs ~0.1µs per probe — invisible next to the sha1 key digests.
     When a telemetry session is active, every lookup increments
     ``cache.<name>.hit`` / ``cache.<name>.miss`` — plus the aggregate

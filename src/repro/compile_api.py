@@ -65,6 +65,10 @@ BUDGETS = {
 #: largest raw truth table accepted (2**16 rows = a 16-bit function)
 MAX_TABLE_BITS = 16
 
+#: widest output word accepted: table values are int64 words, and
+#: ``1 << n_outputs`` must stay representable
+MAX_OUTPUT_BITS = 62
+
 
 def budget_config(budget: str, seed: Optional[int] = 0) -> AlgorithmConfig:
     """Resolve a named budget to a seeded :class:`AlgorithmConfig`."""

@@ -24,7 +24,6 @@ from ..boolean import ops
 from ..boolean.decomposition import MultiSharedDecomposition, NonDisjointDecomposition
 from ..boolean.partition import Partition
 from .cost import BitCosts
-from .fusion import current_hub
 from .opt_for_part import KernelRequest, opt_for_part, opt_for_part_grouped
 
 __all__ = [
@@ -73,7 +72,7 @@ def _half_problem(
     ``j << shared``); the reduced input words are scattered over
     ``keep`` and OR-ed with it, selecting the cofactor slice of the
     cost vectors and the (unnormalised) conditional distribution.
-    Shared by the serial and fused candidate loops so both solve the
+    Shared by the serial and grouped candidate loops so both solve the
     byte-identical half problems.
     """
     full = ops.deposit_bits(reduced_words, keep) | assignment
@@ -154,15 +153,13 @@ def optimize_nondisjoint(
     full bound set, as the paper does).
 
     With the fast paths on and an explicit ``rng``, the whole
-    enumeration is *fused*: the per-half initial patterns are pre-drawn
-    in exactly the serial call order, every conditional half problem
-    becomes a :class:`~repro.core.opt_for_part.KernelRequest`, and all
-    ``2 * len(candidates)`` halves run in one
-    :func:`~repro.core.opt_for_part.opt_for_part_grouped` pass (or
-    through the ambient :class:`~repro.core.fusion.FusionHub`, fusing
-    wider still across concurrent callers).  The generator stream and
-    every returned bit match the serial loop; strict ``<`` keeps the
-    first-best tie-breaking.
+    enumeration is *grouped*: the per-half initial patterns are
+    pre-drawn in exactly the serial call order, every conditional half
+    problem becomes a :class:`~repro.core.opt_for_part.KernelRequest`,
+    and all ``2 * len(candidates)`` halves run in one
+    :func:`~repro.core.opt_for_part.opt_for_part_grouped` pass.  The
+    generator stream and every returned bit match the serial loop;
+    strict ``<`` keeps the first-best tie-breaking.
     """
     candidates = (
         tuple(shared_candidates) if shared_candidates is not None else partition.bound
@@ -170,7 +167,7 @@ def optimize_nondisjoint(
     if not candidates:
         raise ValueError("at least one shared-bit candidate is required")
     if rng is not None and caching.fast_paths_enabled():
-        return _optimize_nondisjoint_fused(
+        return _optimize_nondisjoint_grouped(
             costs, p, partition, n_inputs, candidates, n_initial_patterns, rng
         )
     best: Optional[NonDisjointResult] = None
@@ -190,7 +187,7 @@ def optimize_nondisjoint(
     return best
 
 
-def _optimize_nondisjoint_fused(
+def _optimize_nondisjoint_grouped(
     costs: BitCosts,
     p: np.ndarray,
     partition: Partition,
@@ -199,7 +196,7 @@ def _optimize_nondisjoint_fused(
     n_initial_patterns: int,
     rng: np.random.Generator,
 ) -> NonDisjointResult:
-    """Fused shared-bit enumeration; bitwise equal to the serial loop."""
+    """Grouped shared-bit enumeration; bitwise equal to the serial loop."""
     if partition.n_bound < 2:
         raise ValueError(
             "non-disjoint decomposition needs a bound set of size >= 2 "
@@ -231,11 +228,7 @@ def _optimize_nondisjoint_fused(
                     half_costs, weights, [reduced], n_inputs - 1, patterns[None]
                 )
             )
-    hub = current_hub()
-    if hub is not None:
-        evaluated = hub.evaluate_many(requests)
-    else:
-        evaluated = opt_for_part_grouped(requests)
+    evaluated = opt_for_part_grouped(requests)
     best: Optional[NonDisjointResult] = None
     for index, shared in enumerate(candidates):
         half0 = evaluated[2 * index][0]
@@ -311,7 +304,7 @@ def optimize_multi_shared(
     types = []
     total_error = 0.0
     if rng is not None and caching.fast_paths_enabled():
-        # fused: pre-draw each cofactor's patterns in the serial call
+        # grouped: pre-draw each cofactor's patterns in the serial call
         # order and solve all 2**s conditional problems in one grouped
         # kernel pass — bitwise equal to the loop below
         if n_initial_patterns < 1:
@@ -334,13 +327,7 @@ def optimize_multi_shared(
                     draw[None],
                 )
             )
-        hub = current_hub()
-        evaluated = (
-            hub.evaluate_many(requests)
-            if hub is not None
-            else opt_for_part_grouped(requests)
-        )
-        for (result,) in evaluated:
+        for (result,) in opt_for_part_grouped(requests):
             patterns.append(result.decomposition.pattern)
             types.append(result.decomposition.types)
             total_error += result.error

@@ -68,22 +68,17 @@ bit-for-bit the reference kernel's patterns, types, and totals while
 running a fraction of its work.  Ineligible instances (weights that
 need more than 52 bits on a common scale, fractional costs) silently
 take the reference sweep; ``REPRO_FAST_PATHS=0`` disables the whole
-tier.  The differential harness in ``tests/core/test_fast_paths.py``,
-``tests/core/test_packed_kernel.py`` and ``tests/core/test_fusion.py``
-pins the equivalence.
+tier.  The differential harness in ``tests/core/test_fast_paths.py`` and
+``tests/core/test_packed_kernel.py`` pins the equivalence.
 
-Cross-caller fusion
--------------------
+Grouped evaluation
+------------------
 :func:`opt_for_part_grouped` evaluates a *list* of
 :class:`KernelRequest` batches — possibly from different ``(costs,
 p)`` contexts — in one pass: items are grouped by table shape and
 eligibility and executed in chunks up to ``_BATCH_LIMIT`` wide, each
-item bitwise equal to its standalone call.
-:class:`repro.core.fusion.FusionHub` routes concurrent callers'
-``opt_for_part`` / ``opt_for_part_many`` invocations here so serve
-batches and fused campaign runs share kernel dispatches; engagement is
-visible as ``opt.fused_calls`` / ``opt.fused_items`` and the
-``opt.fused_width`` histogram.
+item bitwise equal to its standalone call.  The nondisjoint search
+uses it to evaluate all of a candidate's halves in one dispatch.
 """
 
 from __future__ import annotations
@@ -106,7 +101,6 @@ from ..boolean.packed import WeightPlanes, pack_bits
 from ..boolean.partition import Partition
 from ..boolean.truth_table import gather_index, to_matrix
 from .cost import BitCosts
-from .fusion import current_hub
 
 __all__ = [
     "OptForPartResult",
@@ -1007,21 +1001,16 @@ def opt_for_part(
     request = KernelRequest(
         costs, p, [partition], n_inputs, patterns[None], max_sweeps, memo
     )
-    hub = current_hub()
-    if hub is not None:
-        # a fusion party: ship the drawn problem to the hub (telemetry
-        # is emitted once by the executor's fused dispatch)
-        return hub.evaluate(request)[0]
     # Hot path: the disabled-telemetry branch avoids even the no-op
     # span allocation — this function dominates both algorithms.
     if not obs.enabled():
-        return _grouped_eval([request], False)[0][0][0]
+        return _grouped_eval([request])[0][0][0]
     with obs.span(
         "opt.for_part", n_bound=partition.n_bound, n_free=partition.n_free
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        ((result,), sweeps), = _grouped_eval([request], False)
+        ((result,), sweeps), = _grouped_eval([request])
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
         span.set(sweeps=sweeps, error=result.error)
@@ -1127,13 +1116,8 @@ def opt_for_part_many(
     request = KernelRequest(
         costs, p, partitions, n_inputs, stacked, max_sweeps, memo
     )
-    hub = current_hub()
-    if hub is not None:
-        # a fusion party: ship the whole batch to the hub (telemetry is
-        # emitted once by the executor's fused dispatch)
-        return hub.evaluate(request)
     if not obs.enabled():
-        return _grouped_eval([request], False)[0][0]
+        return _grouped_eval([request])[0][0]
     with obs.span(
         "opt.for_part_many",
         batch=len(partitions),
@@ -1142,7 +1126,7 @@ def opt_for_part_many(
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        (results, total_sweeps), = _grouped_eval([request], False)
+        (results, total_sweeps), = _grouped_eval([request])
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
         span.set(sweeps=total_sweeps)
@@ -1153,14 +1137,15 @@ def opt_for_part_many(
 
 
 class KernelRequest:
-    """One caller's ``opt_for_part_many`` batch, ready for fused dispatch.
+    """One caller's ``opt_for_part_many`` batch, ready for grouped dispatch.
 
     Bundles everything the chunk engine consumes — the cost context,
     the partitions, the pre-drawn ``(N, Z, cols)`` pattern stack, and
-    the optional context handle — so requests from *different* search
-    or serve contexts can ride one :func:`opt_for_part_grouped` pass.
-    The pattern stack is captured by reference; callers must not
-    mutate it until the request resolves.
+    the optional context handle — so requests over *different*
+    ``(costs, p)`` contexts (the nondisjoint cofactor halves) can ride
+    one :func:`opt_for_part_grouped` pass.  The pattern stack is
+    captured by reference; callers must not mutate it until the
+    request resolves.
     """
 
     __slots__ = (
@@ -1189,34 +1174,28 @@ class KernelRequest:
 def opt_for_part_grouped(
     requests: Sequence[KernelRequest],
 ) -> List[List[OptForPartResult]]:
-    """Fused evaluation of many callers' batches in one kernel pass.
+    """Evaluation of several batches in one kernel pass.
 
     Items from all requests are grouped by table shape, candidate
     count, sweep cap, and packed eligibility, and executed in stacked
     chunks up to ``_BATCH_LIMIT`` wide — each item bitwise equal to its
     standalone :func:`opt_for_part_many` call.  Returns one result list
     per request, in request order.  Telemetry: a single
-    ``opt.for_part_fused`` span covering the pass, the usual
-    ``opt.calls`` / ``opt.sweeps`` / ``opt.lut_entries`` counters, plus
-    ``opt.fused_calls`` / ``opt.fused_items`` and an
-    ``opt.fused_width`` observation per executed chunk.
+    ``opt.for_part_grouped`` span covering the pass and the usual
+    ``opt.calls`` / ``opt.sweeps`` / ``opt.lut_entries`` counters.
     """
     requests = list(requests)
     if not requests:
         return []
     total = sum(len(request.partitions) for request in requests)
     if not obs.enabled():
-        return [results for results, _ in _grouped_eval(requests, False)]
+        return [results for results, _ in _grouped_eval(requests)]
     with obs.span(
-        "opt.for_part_fused", requests=len(requests), items=total
+        "opt.for_part_grouped", requests=len(requests), items=total
     ) as span:
         start = time.perf_counter()
-        # thread CPU time alongside wall time: a fused pass timeshares
-        # the interpreter with the party threads it serves, so its wall
-        # duration double-counts their non-kernel work — the executor's
-        # CPU seconds are the honest cost of the kernel phase
         cpu_start = time.thread_time()
-        evaluated = _grouped_eval(requests, True)
+        evaluated = _grouped_eval(requests)
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
         total_sweeps = sum(sweeps for _, sweeps in evaluated)
@@ -1228,8 +1207,6 @@ def opt_for_part_grouped(
                 "opt.lut_entries",
                 len(request.partitions) * (2 << (request.n_inputs - 1)),
             )
-        obs.incr("opt.fused_calls")
-        obs.incr("opt.fused_items", total)
         return [results for results, _ in evaluated]
 
 
@@ -1258,7 +1235,7 @@ def _chunks(
 
 
 def _grouped_eval(
-    requests: List[KernelRequest], observe_fusion: bool
+    requests: List[KernelRequest],
 ) -> List[Tuple[List[OptForPartResult], int]]:
     """The chunk engine behind every ``OptForPart`` entry point.
 
@@ -1350,8 +1327,6 @@ def _grouped_eval(
                         max_sweeps,
                     )
                 )
-            if observe_fusion:
-                obs.observe("opt.fused_width", b)
             # one argmin and one fancy-index gather of the winners for
             # the whole chunk (first index wins ties, like _best_of);
             # the per-item rows below are views into the gathered

@@ -69,7 +69,7 @@ from ..obs import exposition
 from ..boolean.packed import PackedTable
 from ..core.config import AlgorithmConfig
 from ..core.opt_for_part import result_memo
-from .parallel import RunSpec, run_specs_fused
+from .parallel import RunSpec
 
 __all__ = [
     "DEFAULT_MEMO_CAPACITY",
@@ -555,71 +555,6 @@ def _pool_worker(
                 entries = read_memo_frames(segment.buf, log_offset, committed)
                 imported = memo.import_entries(entries)
                 log_offset = committed
-        fused_fields = message.get("fused")
-        if fused_fields is not None:
-            # Fused job: several specs share this worker and run under
-            # one FusionHub (run_specs_fused), so their kernel batches
-            # merge into wide grouped passes.  Per-spec failures come
-            # back inside the payload — the job itself replies "ok"
-            # unless the whole group machinery blows up.
-            specs = [
-                _spec_from_message(fields, _table_view(segments, tables, ref))
-                for fields, ref in zip(fused_fields, message["tables"])
-            ]
-            group_journal: List[Tuple[Any, Any]] = []
-            memo.journal = group_journal
-            sink = obs.MemorySink()
-            current_job["job"] = (message["index"], message["attempt"])
-            try:
-                with obs.session(sink):
-                    outcomes = run_specs_fused(specs, fresh_caches=False)
-            except Exception:
-                current_job["job"] = None
-                memo.journal = None
-                _send(
-                    {
-                        "kind": "error",
-                        "index": message["index"],
-                        "attempt": message["attempt"],
-                        "detail": traceback.format_exc(limit=8),
-                        "memo_delta": None,
-                        "imported": imported,
-                    }
-                )
-                continue
-            current_job["job"] = None
-            memo.journal = None
-            raw = None
-            if fault is not None and fault.kind == "corrupt":
-                payload = {}
-                raw = _CORRUPT_PAYLOAD
-            else:
-                entries: List[Dict[str, Any]] = []
-                for spec, (status, value) in zip(specs, outcomes):
-                    if status == "ok":
-                        entries.append({"ok": result_to_payload(spec, value)})
-                    else:
-                        entries.append({"error": value})
-                payload = {"fused": entries}
-                if message["capture"]:
-                    payload["telemetry"] = sink.records
-            delta = (
-                pickle.dumps(group_journal, protocol=pickle.HIGHEST_PROTOCOL)
-                if group_journal
-                else None
-            )
-            _send(
-                {
-                    "kind": "ok",
-                    "index": message["index"],
-                    "attempt": message["attempt"],
-                    "payload": payload,
-                    "raw": raw,
-                    "memo_delta": delta,
-                    "imported": imported,
-                }
-            )
-            continue
         table = _table_view(segments, tables, message["table"])
         spec = _spec_from_message(message["spec"], table)
         journal: List[Tuple[Any, Any]] = []
@@ -846,52 +781,6 @@ class WorkerPool:
         }
         handle.task_send.send(message)
         handle.job = (index, attempt)
-        hub = exposition.active_hub()
-        if hub is not None:
-            hub.worker_seen(handle.worker_id, job=[index, attempt])
-        return handle.worker_id
-
-    def submit_fused(
-        self,
-        index: int,
-        specs: Sequence[RunSpec],
-        attempt: int = 0,
-        fault: Optional[faults_mod.Fault] = None,
-    ) -> int:
-        """Dispatch one *fused* job — several specs on one worker.
-
-        The worker runs the whole group through
-        :func:`repro.experiments.parallel.run_specs_fused`, so the
-        specs' kernel batches merge into wide grouped ``OptForPart``
-        passes while each spec's result stays byte-identical to an
-        individual :meth:`submit`.  The completion arrives as a single
-        ``"ok"`` event whose payload carries one ``{"ok": payload}`` /
-        ``{"error": traceback}`` entry per spec, in input order; only
-        a wholesale group failure surfaces as an ``"error"`` event.
-        """
-        specs = list(specs)
-        if not specs:
-            raise ValueError("submit_fused needs at least one spec")
-        idle = self.idle_workers()
-        if not idle:
-            raise RuntimeError("no idle worker available")
-        handle = idle[0]
-        if not handle.process.is_alive():  # pragma: no cover - defensive
-            self._restart(handle)
-            handle = self.idle_workers()[0]
-        message = {
-            "index": index,
-            "attempt": attempt,
-            "fused": [_spec_message(spec) for spec in specs],
-            "tables": [self.arena.publish(spec.table) for spec in specs],
-            "memo_log": self.memo_log.ref,
-            "fault": fault,
-            "capture": self.capture_telemetry,
-        }
-        handle.task_send.send(message)
-        handle.job = (index, attempt)
-        obs.incr("pool.fused_jobs")
-        obs.observe("pool.fused_job_width", len(specs))
         hub = exposition.active_hub()
         if hub is not None:
             hub.worker_seen(handle.worker_id, job=[index, attempt])

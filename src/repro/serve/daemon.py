@@ -122,7 +122,10 @@ class ServeHandler(exposition._Handler):
             return
         try:
             document = json.loads(self.rfile.read(length))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (ValueError, RecursionError):
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and
+            # integer literals over the int-conversion digit limit;
+            # RecursionError is deeply nested arrays or objects
             self._send_json(400, {"error": "request body is not valid JSON"})
             return
         try:

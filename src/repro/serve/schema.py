@@ -113,6 +113,25 @@ def _int_knob(
     return value
 
 
+def _seed_knob(
+    document: Dict[str, Any], key: str, default: Optional[int]
+) -> Optional[int]:
+    # SeedSequence and default_rng refuse negative seeds
+    value = _int_knob(document, key, default)
+    if value is not None and value < 0:
+        raise RequestError(f"{key!r} must be a non-negative integer")
+    return value
+
+
+def _n_outputs(document: Dict[str, Any], form: str) -> int:
+    n_outputs = _require(document, "n_outputs", int, form)
+    if not 1 <= n_outputs <= compile_api.MAX_OUTPUT_BITS:
+        raise RequestError(
+            f"{form}: n_outputs must be in [1, {compile_api.MAX_OUTPUT_BITS}]"
+        )
+    return n_outputs
+
+
 def _reject_unknown(document: Dict[str, Any], form: str) -> None:
     unknown = sorted(set(document) - _FORM_KEYS[form])
     if unknown:
@@ -132,10 +151,16 @@ def _check_name(name: Any) -> Optional[str]:
 def _table_values(raw: Any, context: str) -> list:
     if not isinstance(raw, list) or not raw:
         raise RequestError(f"{context}: table must be a non-empty array")
+    limit = 1 << compile_api.MAX_OUTPUT_BITS
     values = []
     for item in raw:
         if isinstance(item, bool) or not isinstance(item, int):
             raise RequestError(f"{context}: table entries must be integers")
+        if not 0 <= item < limit:
+            raise RequestError(
+                f"{context}: table entries must lie in "
+                f"[0, 2**{compile_api.MAX_OUTPUT_BITS})"
+            )
         values.append(item)
     return values
 
@@ -153,12 +178,12 @@ def _common_knobs(document: Dict[str, Any]) -> Dict[str, Any]:
             f"unknown algorithm {algorithm!r}; choose from {list(ALGORITHMS)}"
         )
     budget = document.get("budget", "reduced")
-    if budget not in compile_api.BUDGETS:
+    if not isinstance(budget, str) or budget not in compile_api.BUDGETS:
         raise RequestError(
             f"unknown budget {budget!r}; "
             f"choose from {sorted(compile_api.BUDGETS)}"
         )
-    seed = _int_knob(document, "seed", 0)
+    seed = _seed_knob(document, "seed", 0)
     if seed is None:
         raise RequestError("seed must be an integer")
     return {
@@ -178,7 +203,7 @@ def _parse_table_form(document: Dict[str, Any]) -> CompileRequest:
             f"(limit {1 << compile_api.MAX_TABLE_BITS})",
             status=413,
         )
-    n_outputs = _require(document, "n_outputs", int, "table")
+    n_outputs = _n_outputs(document, "table")
     try:
         target = compile_api.build_target(
             table=values,
@@ -270,10 +295,10 @@ def _parse_spec_form(document: Dict[str, Any]) -> CompileRequest:
             f"spec: table has {len(values)} rows, "
             f"expected {1 << n_inputs} for n_inputs={n_inputs}"
         )
-    n_outputs = _require(fields, "n_outputs", int, "spec")
+    n_outputs = _n_outputs(fields, "spec")
     name = _check_name(fields.get("name")) or ""
-    base_seed = _int_knob(fields, "base_seed", None)
-    direct_seed = _int_knob(fields, "direct_seed", None)
+    base_seed = _seed_knob(fields, "base_seed", None)
+    direct_seed = _seed_knob(fields, "direct_seed", None)
     if base_seed is None and direct_seed is None:
         # SeedSequence(None) draws OS entropy — a request that cannot
         # reproduce (or be content-addressed) is a caller bug.

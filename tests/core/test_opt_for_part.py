@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import caching
 from repro.boolean import Partition, RowType, random_partition
 from repro.core import (
     BitCosts,
@@ -13,9 +14,12 @@ from repro.core import (
     opt_for_part_exhaustive_many,
     opt_for_part_many,
 )
+from repro.core.opt_for_part import KernelRequest, opt_for_part_grouped
 from repro.metrics import distributions
 
 from ..conftest import random_bits
+from .test_fast_paths import _same_result
+from .test_packed_kernel import _integer_costs
 
 
 def _single_bit_costs(bits: np.ndarray) -> BitCosts:
@@ -246,3 +250,82 @@ class TestInitialPatternValidation:
             assert a.error == b.error
             assert a.pattern.tobytes() == b.pattern.tobytes()
             assert a.types.tobytes() == b.types.tobytes()
+
+
+class TestGroupedEngine:
+    """opt_for_part_grouped == each request's own opt_for_part_many."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        caching.clear_caches()
+        yield
+        caching.clear_caches()
+
+    def _request(self, n_inputs, bound, count, seed, z=4):
+        costs = _integer_costs(n_inputs, seed)
+        p = distributions.uniform(n_inputs)
+        sample = np.random.default_rng(seed + 1)
+        partitions = [
+            random_partition(n_inputs, bound, sample) for _ in range(count)
+        ]
+        stacked = np.random.default_rng(seed + 2).integers(
+            0, 2, size=(count, z, partitions[0].n_cols), dtype=np.uint8
+        )
+        return costs, p, partitions, stacked
+
+    def test_mixed_shape_requests_match_serial(self):
+        problems = [
+            self._request(6, 3, 2, seed=10),
+            self._request(6, 3, 5, seed=20),
+            self._request(7, 4, 3, seed=30),  # different table shape
+        ]
+        serial = []
+        for n_inputs, (costs, p, partitions, stacked) in zip(
+            (6, 6, 7), problems
+        ):
+            caching.clear_caches()
+            serial.append(
+                opt_for_part_many(
+                    costs, p, partitions, n_inputs, initial_patterns=stacked
+                )
+            )
+        caching.clear_caches()
+        grouped = opt_for_part_grouped(
+            [
+                KernelRequest(costs, p, partitions, n_inputs, stacked)
+                for n_inputs, (costs, p, partitions, stacked) in zip(
+                    (6, 6, 7), problems
+                )
+            ]
+        )
+        assert len(grouped) == len(serial)
+        for fused_results, serial_results in zip(grouped, serial):
+            assert len(fused_results) == len(serial_results)
+            for a, b in zip(fused_results, serial_results):
+                _same_result(a, b)
+
+    def test_reference_and_packed_requests_coexist(self):
+        """Ineligible (random-p) and eligible requests fuse correctly."""
+        costs, _, partitions, stacked = self._request(6, 3, 3, seed=40)
+        raw = np.random.default_rng(41).random(64) + 1e-3
+        random_p = raw / raw.sum()
+        uniform_p = distributions.uniform(6)
+        caching.clear_caches()
+        serial_ref = opt_for_part_many(
+            costs, random_p, partitions, 6, initial_patterns=stacked
+        )
+        caching.clear_caches()
+        serial_packed = opt_for_part_many(
+            costs, uniform_p, partitions, 6, initial_patterns=stacked
+        )
+        caching.clear_caches()
+        grouped = opt_for_part_grouped(
+            [
+                KernelRequest(costs, random_p, partitions, 6, stacked),
+                KernelRequest(costs, uniform_p, partitions, 6, stacked),
+            ]
+        )
+        for a, b in zip(grouped[0], serial_ref):
+            _same_result(a, b)
+        for a, b in zip(grouped[1], serial_packed):
+            _same_result(a, b)

@@ -8,16 +8,24 @@ every error, pattern byte, type byte and consumed rng draw identical
 to the reference sweep with packing disabled.  These tests pin that
 contract at three levels — single kernel calls across sweep budgets,
 full algorithm runs across all three architectures, and packed
-shared-memory arena pages — plus the gate itself.
+shared-memory arena pages — plus the gate itself, including its
+weighted (non-uniform distribution) certificates and the exact
+weighted popcounts of :class:`repro.boolean.packed.WeightPlanes` they
+rest on.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import caching
 from repro.boolean import random_partition
+from repro.boolean.packed import WeightPlanes, pack_bits
 from repro.core import (
     AlgorithmConfig,
     cost_vectors_fixed,
@@ -33,6 +41,11 @@ from repro.metrics import distributions
 from ..conftest import random_bits, random_function
 from .test_fast_paths import _run_fingerprint, _same_result
 
+# the package re-exports the function under the module's name
+ofp = importlib.import_module("repro.core.opt_for_part")
+
+_SUPPRESS = [HealthCheck.function_scoped_fixture]
+
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
@@ -41,50 +54,66 @@ def fresh_caches():
     caching.clear_caches()
 
 
-def _uniform_instance(n_inputs, seed):
-    """Integer costs + uniform p: the gate's eligible regime."""
+def _integer_costs(n_inputs, seed):
     rng = np.random.default_rng(seed)
     bits = random_bits(n_inputs, rng)
-    costs = cost_vectors_fixed(bits, np.zeros_like(bits), 0)
-    return costs, distributions.uniform(n_inputs)
+    return cost_vectors_fixed(bits, np.zeros_like(bits), 0)
 
 
-def _kernel():
-    import importlib
+def _uniform_instance(n_inputs, seed):
+    """Integer costs + uniform p: the gate's eligible regime."""
+    return _integer_costs(n_inputs, seed), distributions.uniform(n_inputs)
 
-    # the package re-exports the function under the module's name
-    return importlib.import_module("repro.core.opt_for_part")
+
+def _packed_vs_reference(costs, p, n_inputs, bound, count, seed):
+    """Run the same batch packed-on and packed-off; return both."""
+    sample = np.random.default_rng(seed)
+    partitions = [random_partition(n_inputs, bound, sample) for _ in range(count)]
+    rng_on = np.random.default_rng(seed + 1)
+    rng_off = np.random.default_rng(seed + 1)
+    caching.clear_caches()
+    with caching.packed_kernel(True):
+        on = opt_for_part_many(
+            costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_on
+        )
+    caching.clear_caches()
+    with caching.packed_kernel(False):
+        off = opt_for_part_many(
+            costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_off
+        )
+    assert rng_on.bit_generator.state == rng_off.bit_generator.state
+    return on, off
 
 
 class TestEligibilityGate:
     def test_uniform_integer_instance_is_eligible(self):
         costs, p = _uniform_instance(8, seed=0)
-        assert _kernel()._packed_eligible(costs, p)
+        assert ofp._packed_eligible(costs, p)
 
     def test_non_uniform_distribution_is_rejected(self):
         costs, _ = _uniform_instance(6, seed=1)
         raw = np.random.default_rng(1).random(1 << 6) + 1e-3
-        assert not _kernel()._packed_eligible(costs, raw / raw.sum())
+        assert not ofp._packed_eligible(costs, raw / raw.sum())
 
     def test_fractional_costs_are_rejected(self):
         costs, p = _uniform_instance(5, seed=2)
         fractional = type(costs)(costs.k, costs.cost0 + 0.5, costs.cost1)
-        assert not _kernel()._packed_eligible(fractional, p)
+        assert not ofp._packed_eligible(fractional, p)
 
     def test_negative_costs_are_rejected(self):
         costs, p = _uniform_instance(5, seed=3)
         negative = type(costs)(costs.k, costs.cost0 - 1.0, costs.cost1)
-        assert not _kernel()._packed_eligible(negative, p)
+        assert not ofp._packed_eligible(negative, p)
 
     def test_magnitude_overflow_is_rejected(self):
         """Sums that could leave the exact-integer float range bail out."""
         costs, p = _uniform_instance(5, seed=4)
         huge = type(costs)(costs.k, costs.cost0 + 2.0**53, costs.cost1)
-        assert not _kernel()._packed_eligible(huge, p)
+        assert not ofp._packed_eligible(huge, p)
 
     def test_empty_distribution_is_rejected(self):
         costs, _ = _uniform_instance(4, seed=5)
-        assert not _kernel()._packed_eligible(costs, np.empty(0))
+        assert not ofp._packed_eligible(costs, np.empty(0))
 
     def test_switch_nests_under_fast_paths(self):
         """REPRO_FAST_PATHS=0 must also disable the packed tier."""
@@ -99,10 +128,10 @@ class TestEligibilityGate:
         costs, p = _uniform_instance(7, seed=6)
         memo = memo_context(costs, p)
         assert memo.packed_ok is None
-        assert _kernel()._packed_mode_engaged(costs, p, memo) is not None
+        assert ofp._packed_mode_engaged(costs, p, memo) is not None
         assert memo.packed_ok is True
         # a cached verdict short-circuits the array scans entirely
-        assert _kernel()._packed_mode_engaged(costs, p, memo) is not None
+        assert ofp._packed_mode_engaged(costs, p, memo) is not None
 
 
 class TestKernelByteIdentity:
@@ -293,3 +322,123 @@ class TestArenaPackedPages:
             assert "packed" not in ref
         finally:
             arena.close()
+
+
+class TestWeightedEligibility:
+    """The widened gate: weighted distributions, dyadic certificates."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=_SUPPRESS)
+    @given(data=st.data())
+    def test_dyadic_weighted_instances_engage_packed_byte_identical(self, data):
+        n_inputs = data.draw(st.integers(5, 7), label="n_inputs")
+        entries = 1 << n_inputs
+        costs = _integer_costs(n_inputs, data.draw(st.integers(0, 99), label="f"))
+        mant = np.asarray(
+            data.draw(
+                st.lists(
+                    st.integers(0, 255), min_size=entries, max_size=entries
+                ),
+                label="mantissas",
+            ),
+            dtype=np.float64,
+        )
+        shift = data.draw(st.integers(0, 24), label="shift")
+        p = mant / float(1 << shift)
+        # dyadic weights with a tiny magnitude bound: always provable
+        assert ofp._packed_eligible(costs, p)
+        on, off = _packed_vs_reference(costs, p, n_inputs, 3, 3, seed=5)
+        for a, b in zip(on, off):
+            _same_result(a, b)
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=_SUPPRESS)
+    @given(data=st.data())
+    def test_arbitrary_distribution_packed_on_off_identical(self, data):
+        """Eligible or not, packing must never change a byte."""
+        n_inputs = 6
+        costs = _integer_costs(n_inputs, data.draw(st.integers(0, 99), label="f"))
+        mode = data.draw(
+            st.sampled_from(["dyadic", "random", "sparse", "thirds"]),
+            label="mode",
+        )
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        if mode == "dyadic":
+            p = rng.integers(0, 1 << 12, size=1 << n_inputs).astype(np.float64)
+            p /= 4096.0
+        elif mode == "random":
+            p = rng.random(1 << n_inputs)
+            p /= p.sum()
+        elif mode == "sparse":
+            p = np.zeros(1 << n_inputs)
+            p[rng.integers(0, 1 << n_inputs, size=4)] = 0.25
+        else:
+            p = np.full(1 << n_inputs, 1.0 / 3.0)
+            p[0] = 2.0 / 3.0
+        on, off = _packed_vs_reference(costs, p, n_inputs, 3, 3, seed=9)
+        for a, b in zip(on, off):
+            _same_result(a, b)
+
+    def test_non_dyadic_weights_are_refused(self):
+        """1/3 has a 53-bit odd mantissa: no exactness certificate."""
+        costs = _integer_costs(6, seed=3)
+        p = np.full(64, 1.0 / 3.0)
+        p[0] = 2.0 / 3.0
+        assert not ofp._packed_eligible(costs, p)
+
+    def test_weighted_overflow_is_refused(self):
+        """Weights whose *scaled* total leaves 2**52 bail out.
+
+        Powers of two are exact at any magnitude (odd part 1), so the
+        overflow probe needs large odd mantissas: (2**50 + 1)-sized
+        weights put the scaled weighted total far beyond 2**52.
+        """
+        costs = _integer_costs(6, seed=4)
+        p = np.full(64, 2.0**50 + 1.0)
+        p[0] = 2.0**50 + 3.0  # non-constant: takes the weighted path
+        assert not ofp._packed_eligible(costs, p)
+
+    def test_power_of_two_magnitudes_stay_eligible(self):
+        """Huge but dyadic-unit weights are exact in scaled units."""
+        costs = _integer_costs(6, seed=4)
+        p = np.full(64, float(1 << 50))
+        p[0] = float(1 << 51)
+        assert ofp._packed_eligible(costs, p)
+
+    def test_uniform_stays_eligible_via_closed_form(self):
+        costs = _integer_costs(8, seed=5)
+        assert ofp._packed_eligible(costs, distributions.uniform(8))
+
+
+class TestWeightPlanes:
+    @settings(max_examples=50, deadline=None, suppress_health_check=_SUPPRESS)
+    @given(data=st.data())
+    def test_masked_sum_is_exact(self, data):
+        n = data.draw(st.integers(1, 130), label="n")
+        weights = np.asarray(
+            data.draw(
+                st.lists(
+                    st.integers(0, 1 << 45), min_size=n, max_size=n
+                ),
+                label="weights",
+            ),
+            dtype=np.int64,
+        )
+        mask = np.asarray(
+            data.draw(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                label="mask",
+            ),
+            dtype=np.uint8,
+        )
+        planes = WeightPlanes(weights)
+        expected = sum(int(w) for w, b in zip(weights, mask) if b)
+        assert planes.masked_sum(pack_bits(mask)) == expected
+        assert planes.total() == sum(int(w) for w in weights)
+
+    def test_rejects_negative_and_non_integer(self):
+        with pytest.raises(ValueError):
+            WeightPlanes(np.array([1, -1]))
+        with pytest.raises(ValueError):
+            WeightPlanes(np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            WeightPlanes(np.array([], dtype=np.int64))

@@ -3,9 +3,16 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compile_api import budget_config
-from repro.serve.schema import RequestError, parse_compile_request
+from repro.serve.schema import (
+    _CONFIG_FIELDS,
+    _FORM_KEYS,
+    _SPEC_KEYS,
+    RequestError,
+    parse_compile_request,
+)
 
 from .conftest import bench_doc
 
@@ -69,8 +76,12 @@ class TestBenchmarkForm:
             parse_compile_request(bench_doc(algorithm="greedy"))
         with pytest.raises(RequestError, match="unknown budget"):
             parse_compile_request(bench_doc(budget="exhaustive"))
+        with pytest.raises(RequestError, match="unknown budget"):
+            parse_compile_request(bench_doc(budget=[]))
         with pytest.raises(RequestError, match="seed"):
             parse_compile_request(bench_doc(seed="seven"))
+        with pytest.raises(RequestError, match="non-negative"):
+            parse_compile_request(bench_doc(seed=-1))
 
     def test_seed_selects_distinct_artifacts(self):
         first = parse_compile_request(bench_doc(seed=0))
@@ -89,6 +100,8 @@ class TestTableForm:
     def test_requires_n_outputs(self):
         with pytest.raises(RequestError, match="n_outputs"):
             parse_compile_request({"table": [0, 1, 3, 2]})
+        with pytest.raises(RequestError, match="n_outputs"):
+            parse_compile_request({"table": [0, 1, 3, 2], "n_outputs": 10**30})
 
     def test_table_entry_types(self):
         with pytest.raises(RequestError, match="non-empty array"):
@@ -141,6 +154,10 @@ class TestSpecForm:
     def test_requires_a_seed(self):
         with pytest.raises(RequestError, match="base_seed or direct_seed"):
             parse_compile_request(spec_doc(direct_seed=None))
+        with pytest.raises(RequestError, match="direct_seed"):
+            parse_compile_request(spec_doc(direct_seed=-1))
+        with pytest.raises(RequestError, match="base_seed"):
+            parse_compile_request(spec_doc(direct_seed=None, base_seed=-1))
 
     def test_base_seed_alone_is_enough(self):
         request = parse_compile_request(
@@ -165,6 +182,8 @@ class TestSpecForm:
             parse_compile_request(spec_doc(config="fast"))
         with pytest.raises(RequestError, match="unknown config keys"):
             parse_compile_request(spec_doc(config={"steps": 5}))
+        with pytest.raises(RequestError, match="n_outputs"):
+            parse_compile_request(spec_doc(n_outputs=10**30))
 
     def test_table_length_must_match_n_inputs(self):
         with pytest.raises(RequestError, match="expected 8"):
@@ -190,3 +209,48 @@ class TestSpecForm:
             )
         )
         assert spec.fingerprint == bench.fingerprint
+
+
+# -- fuzz -------------------------------------------------------------
+#: integers around every bound the schema checks, plus huge ones
+_EDGE_INTS = st.sampled_from(
+    [-(10**30), -1, 0, 1, 2, 6, 16, 17, 62, 63, 2**62, 2**63, 10**30]
+)
+#: real names, so the parser gets past its first membership checks
+_REAL_NAMES = st.sampled_from(
+    ["cos", "exp", "bs-sa", "dalta", "fast", "reduced", "bto-normal-nd",
+     "normal", "gray2"]
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _EDGE_INTS, st.floats(),
+    st.text(max_size=8), _REAL_NAMES,
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_TABLES = st.lists(st.one_of(st.integers(0, 3), _EDGE_INTS), min_size=1, max_size=8)
+_CONFIGS = st.dictionaries(st.sampled_from(sorted(_CONFIG_FIELDS)), _SCALARS, max_size=4)
+_VALUES = st.one_of(_JSON, _TABLES, _CONFIGS)
+_TOP_KEYS = sorted(set().union(*_FORM_KEYS.values()))
+_DOCUMENTS = st.one_of(
+    _JSON,
+    st.dictionaries(st.sampled_from(_TOP_KEYS), _VALUES, max_size=5),
+    st.dictionaries(
+        st.sampled_from(sorted(_SPEC_KEYS)), _VALUES, max_size=10
+    ).map(lambda spec: {"spec": spec}),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCUMENTS)
+    def test_only_request_errors_escape(self, document):
+        # any input either parses or is refused with a 4xx — never an
+        # exception the daemon would turn into a 500 (or no answer)
+        try:
+            parse_compile_request(document)
+        except RequestError as exc:
+            assert 400 <= exc.status < 500
