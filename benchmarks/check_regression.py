@@ -1,20 +1,21 @@
 """Perf-regression ratchet: fresh snapshots vs the committed baselines.
 
 Runs the same seeded protocols as ``snapshot_table2`` /
-``snapshot_parallel`` / ``snapshot_packed`` / ``snapshot_serve`` (or
-takes pre-generated snapshots via ``--fresh-*``) and compares them
-against the committed ``BENCH_table2.json`` / ``BENCH_parallel.json``
-/ ``BENCH_packed.json`` / ``BENCH_serve.json``:
+``snapshot_parallel`` / ``snapshot_serve`` (or takes pre-generated
+snapshots via ``--fresh-*``) and compares them against the committed
+``BENCH_table2.json`` / ``BENCH_parallel.json`` / ``BENCH_serve.json``:
 
 * **MED drift** — every fresh per-benchmark MED row must be
   byte-identical to the committed row.  The per-benchmark seeding is
   independent of suite composition, so a ``--benchmarks cos`` subset
   run is still comparable row-for-row.  Any drift fails.
+* **Kernel-tier engagement** — the fresh table2 snapshot must show
+  the packed sweep engaged and no Table-II instance on the float
+  fallback.
 * **Speed ratios** — machine-independent ratios must not regress by
-  more than ``--tolerance`` (default 25%): the fast-vs-reference
-  ratio and the warm-memo replay speedup from the table2 snapshot,
-  the warm-pool-vs-spawn campaign speedup from the parallel one, and
-  the packed-tier OptForPart-phase speedups from the packed one.
+  more than ``--tolerance`` (default 25%): the cold-pool-vs-spawn
+  campaign speedup from the parallel snapshot and the warm-cache
+  speedup from the serve one.
 * **Phase timings** — per-phase call *counts* must match exactly when
   the fresh run covers the committed suite (the protocol is
   deterministic), and no phase's per-call mean may drift more than
@@ -231,20 +232,15 @@ def check_table2(
     _check_provenance(ratchet, "table2", committed, "committed")
     _check_provenance(ratchet, "table2", fresh, "fresh")
     _check_meds(ratchet, "table2", committed, fresh)
-
-    def ratio(snapshot: Dict[str, Any]) -> Optional[float]:
-        fast = snapshot.get("fast", {}).get("min")
-        reference = snapshot.get("reference", {}).get("min")
-        if not fast or not reference:
-            return None
-        return reference / fast
-
-    _check_ratio(
-        ratchet,
-        "table2: reference/fast speed ratio",
-        ratio(committed),
-        ratio(fresh),
-        tolerance,
+    engagement = fresh.get("engagement", {})
+    packed = engagement.get("packed_calls")
+    fallback = engagement.get("packed_ineligible")
+    ratchet.check(
+        "table2: packed-tier engagement",
+        bool(packed) and fallback == 0,
+        f"{packed} kernel requests packed, {fallback} on the float fallback"
+        if engagement
+        else "fresh snapshot recorded no engagement block",
     )
     _check_phase_timings(ratchet, committed, fresh, tolerance)
 
@@ -272,40 +268,6 @@ def check_parallel(
         fresh.get("speedup", {}).get("pool_cold_vs_spawn"),
         tolerance,
     )
-
-
-def check_packed(
-    ratchet: Ratchet,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    tolerance: float,
-) -> None:
-    _check_provenance(ratchet, "packed", committed, "committed")
-    _check_provenance(ratchet, "packed", fresh, "fresh")
-    _check_meds(ratchet, "packed", committed, fresh)
-    ratchet.check(
-        "packed: cross-mode byte identity",
-        bool(fresh.get("byte_identical")),
-        "packed/fast/reference MEDs all match"
-        if fresh.get("byte_identical")
-        else "fresh snapshot did not assert byte identity",
-    )
-    engaged = fresh.get("engagement", {}).get("packed_calls")
-    ratchet.check(
-        "packed: eligibility-gate engagement",
-        bool(engaged),
-        f"{engaged} kernel calls ran the packed sweep"
-        if engaged
-        else "the gate never engaged — the snapshot measured nothing",
-    )
-    for key in ("opt_phase_vs_reference", "opt_phase_vs_fast"):
-        _check_ratio(
-            ratchet,
-            f"packed: speedup [{key}]",
-            committed.get("speedup", {}).get(key),
-            fresh.get("speedup", {}).get(key),
-            tolerance,
-        )
 
 
 def check_serve(
@@ -356,8 +318,6 @@ def _generate(kind: str, committed: Dict[str, Any], args, out: Path) -> None:
     ]
     if kind == "table2":
         from benchmarks.snapshot_table2 import main
-    elif kind == "packed":
-        from benchmarks.snapshot_packed import main
     else:
         from benchmarks.snapshot_parallel import main
 
@@ -427,16 +387,6 @@ def main(argv=None) -> int:
         help="pre-generated fresh parallel snapshot (skips the run)",
     )
     parser.add_argument(
-        "--packed",
-        default=str(REPO_ROOT / "BENCH_packed.json"),
-        help="committed packed-kernel baseline",
-    )
-    parser.add_argument(
-        "--fresh-packed",
-        default=None,
-        help="pre-generated fresh packed snapshot (skips the run)",
-    )
-    parser.add_argument(
         "--serve",
         default=str(REPO_ROOT / "BENCH_serve.json"),
         help="committed serve-daemon baseline",
@@ -467,9 +417,6 @@ def main(argv=None) -> int:
         "--skip-parallel", action="store_true", help="only check table2"
     )
     parser.add_argument(
-        "--skip-packed", action="store_true", help="skip the packed baseline"
-    )
-    parser.add_argument(
         "--skip-serve", action="store_true", help="skip the serve baseline"
     )
     args = parser.parse_args(argv)
@@ -494,15 +441,6 @@ def main(argv=None) -> int:
                 _generate("parallel", committed, args, out)
                 fresh = _load(out)
             check_parallel(ratchet, committed, fresh, args.tolerance)
-        if not args.skip_packed:
-            committed = _load(Path(args.packed))
-            if args.fresh_packed:
-                fresh = _load(Path(args.fresh_packed))
-            else:
-                out = Path(tmp) / "packed.json"
-                _generate("packed", committed, args, out)
-                fresh = _load(out)
-            check_packed(ratchet, committed, fresh, args.tolerance)
         if not args.skip_serve:
             committed = _load(Path(args.serve))
             if args.fresh_serve:

@@ -4,17 +4,22 @@ The snapshot runs the full Table-II protocol (``run_table2``: every
 benchmark × both algorithms × ``n_runs`` independent seeds, serially in
 one process — the shape the caches amortise over) and records
 
-* wall-clock of the current tree (fast paths on, cold caches),
-* wall-clock of the in-tree reference mode (``fast_paths(False)``:
-  serial single-partition calls, no BTO memo),
+* wall-clock of the current tree (cold caches), per repeat,
 * optionally, wall-clock of a *baseline checkout* (``--baseline``
   points at an older tree's ``src``; both sides run as interleaved
   subprocesses so machine drift hits them equally),
 * the cache hit/miss statistics and per-phase wall-clock breakdown
-  (``phase_timings``: span name -> count/total seconds) of a cold
-  fast pass run under telemetry, and
-* the per-benchmark MEDs of every mode, asserted **byte-identical** —
-  the performance layer must never change a single output bit.
+  (``phase_timings``: span name -> count/total seconds) of a cold pass
+  run under telemetry,
+* the kernel-tier engagement of that pass (``engagement``: how many
+  ``OptForPart`` requests took the packed sweep, its f32 variant, or
+  the float fallback), and
+* the per-benchmark MEDs, asserted **byte-identical** across every
+  repeat and the telemetry pass.
+
+The script fails when any two passes disagree on a MED, when the packed
+tier never engages, or when any Table-II instance falls back to the
+float sweep.
 
 Usage::
 
@@ -22,8 +27,7 @@ Usage::
         --scale default --benchmarks cos,exp,multiplier \
         --repeats 2 --baseline /tmp/seedrepo/src --out BENCH_table2.json
 
-CI runs the smoke scale with no baseline as a <60s consistency gate:
-any fast-vs-reference disagreement fails the script.
+CI runs the smoke scale with no baseline as a <60s consistency gate.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ def main(argv=None) -> int:
         "--repeats",
         type=int,
         default=1,
-        help="timed repetitions per mode (min is reported)",
+        help="timed repetitions (min is reported)",
     )
     parser.add_argument(
         "--baseline",
@@ -138,39 +142,43 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
     }
 
-    # -- current tree, fast paths on (cold) + reference mode (cold) ----
-    fast_times, reference_times = [], []
-    fast_result = reference_result = None
+    # -- current tree (cold), every repeat must reproduce the MEDs -------
+    times = []
+    meds = None
     for _ in range(args.repeats):
-        elapsed, fast_result = _run_protocol(scale, args.base_seed)
-        fast_times.append(elapsed)
-        with caching.fast_paths(False):
-            elapsed, reference_result = _run_protocol(scale, args.base_seed)
-        reference_times.append(elapsed)
-    fast_meds = _meds(fast_result)
-    if fast_meds != _meds(reference_result):
-        print("FAIL: fast paths changed the protocol outputs", file=sys.stderr)
-        print(json.dumps(fast_meds, indent=2), file=sys.stderr)
-        print(json.dumps(_meds(reference_result), indent=2), file=sys.stderr)
-        return 1
-    snapshot["meds"] = fast_meds
-    snapshot["fast"] = {"seconds": fast_times, "min": min(fast_times)}
-    snapshot["reference"] = {
-        "mode": "fast_paths(False): serial calls, no BTO memo",
-        "seconds": reference_times,
-        "min": min(reference_times),
-        "byte_identical": True,
-    }
+        elapsed, result = _run_protocol(scale, args.base_seed)
+        times.append(elapsed)
+        if meds is None:
+            meds = _meds(result)
+        elif _meds(result) != meds:
+            print("FAIL: a repeat changed the protocol outputs", file=sys.stderr)
+            return 1
+    snapshot["meds"] = meds
+    snapshot["fast"] = {"seconds": times, "min": min(times)}
 
-    # -- cache statistics + per-phase wall clock of one cold fast pass --
-    # (this pass runs under telemetry, so it is not used for the timed
-    # wall-clock numbers above)
+    # -- cache statistics, per-phase wall clock and tier engagement of one
+    # cold pass (this pass runs under telemetry, so it is not used for the
+    # timed wall-clock numbers above)
     memory = obs.MemorySink()
     with obs.session(memory):
-        _run_protocol(scale, args.base_seed)
+        _, traced = _run_protocol(scale, args.base_seed)
+    if _meds(traced) != meds:
+        print("FAIL: telemetry changed the protocol outputs", file=sys.stderr)
+        return 1
     snapshot["cache_stats"] = caching.cache_stats()
     summary = obs.summarize.summarize(memory.records)
     snapshot["phase_timings"] = summary.phase_timings()
+    counters = memory.counters()
+    engagement = {
+        key: int(counters.get(f"opt.{key}", 0))
+        for key in ("packed_calls", "packed_f32_calls", "packed_ineligible")
+    }
+    snapshot["engagement"] = engagement
+    if not engagement["packed_calls"] or engagement["packed_ineligible"]:
+        print(
+            f"FAIL: Table-II left the packed tier: {engagement}", file=sys.stderr
+        )
+        return 1
 
     # -- optional race against an older checkout -----------------------
     if args.baseline:

@@ -1,132 +1,39 @@
-"""Process-local caches and fast-path switches for the hot kernels.
+"""Process-local LRU caches for the hot kernels.
 
 The BS-SA/DALTA inner loop (``OptForPart``) re-evaluates thousands of
-partitions per output bit.  Three caches amortise that work without
-changing a single output bit (see ``docs/performance.md``):
+partitions per output bit.  A few bounded caches amortise that work
+without changing a single output bit (see ``docs/performance.md``):
 
-* the 2D-table *index cache* in :mod:`repro.boolean.truth_table`
-  (gather/scatter permutations keyed by ``(partition, n_inputs)``),
-* the *result memo* in :mod:`repro.core.opt_for_part` (full
-  ``OptForPartResult`` keyed by cost/pattern digests), and
-* the batched ``opt_for_part_many`` driver used by BS-SA and DALTA.
+* the 2D-table *index caches* in :mod:`repro.boolean.truth_table`
+  (gather, scatter and row/column permutations keyed by
+  ``(partition mask, n_inputs)``),
+* the neighbour cache in :mod:`repro.boolean.partition`, and
+* the BTO / exhaustive *result memo* in :mod:`repro.core.opt_for_part`
+  (full ``OptForPartResult`` keyed by a content digest of the cost
+  vectors and distribution plus the partition).
 
 Everything here is **per process**: worker processes spawned by
 :mod:`repro.experiments.parallel` each hold their own caches, and
 :meth:`RunSpec.execute` clears them at run start so telemetry counters
 are independent of run order and of serial-vs-parallel execution.
-
-``fast_paths_enabled()`` gates the batched drivers and the result memo
-(the index cache is a pure equivalence and stays on).  Disable globally
-with ``REPRO_FAST_PATHS=0`` in the environment, or locally with the
-:func:`fast_paths` context manager — the reference single-partition
-code paths are kept intact precisely so the differential test suite
-(and the ``BENCH_table2.json`` harness) can compare both.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import Any, Dict, Hashable, Iterable, List, Optional
 
 from . import obs
 
 __all__ = [
     "LruCache",
-    "fast_paths_enabled",
-    "set_fast_paths",
-    "fast_paths",
-    "packed_kernel_enabled",
-    "set_packed_kernel",
-    "packed_kernel",
     "clear_caches",
     "cache_stats",
 ]
 
 #: every LruCache instance ever created, for clear_caches()/cache_stats()
 _REGISTRY: List["LruCache"] = []
-
-
-def _env_default() -> bool:
-    return os.environ.get("REPRO_FAST_PATHS", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-_fast_paths: bool = _env_default()
-
-
-def fast_paths_enabled() -> bool:
-    """True when the batched/memoized kernel drivers are active."""
-    return _fast_paths
-
-
-def set_fast_paths(enabled: bool) -> bool:
-    """Set the fast-path switch; returns the previous value."""
-    global _fast_paths
-    previous = _fast_paths
-    _fast_paths = bool(enabled)
-    return previous
-
-
-@contextmanager
-def fast_paths(enabled: bool):
-    """Scoped override of the fast-path switch (used by the tests)."""
-    previous = set_fast_paths(enabled)
-    try:
-        yield
-    finally:
-        set_fast_paths(previous)
-
-
-def _packed_env_default() -> bool:
-    return os.environ.get("REPRO_PACKED_KERNEL", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-_packed_kernel: bool = _packed_env_default()
-
-
-def packed_kernel_enabled() -> bool:
-    """True when the bit-packed kernel tier may engage.
-
-    The packed tier is nested under :func:`fast_paths_enabled`:
-    ``REPRO_FAST_PATHS=0`` selects the reference kernels regardless of
-    this switch, and even with both switches on the packed sweep only
-    runs on instances that pass the dyadic-exactness eligibility gate
-    (see ``docs/performance.md``, "Bit-packed kernel tier").  Disable
-    with ``REPRO_PACKED_KERNEL=0`` or the :func:`packed_kernel`
-    context manager — that is the packed-on/off axis the differential
-    suites sweep.
-    """
-    return _fast_paths and _packed_kernel
-
-
-def set_packed_kernel(enabled: bool) -> bool:
-    """Set the packed-kernel switch; returns the previous value."""
-    global _packed_kernel
-    previous = _packed_kernel
-    _packed_kernel = bool(enabled)
-    return previous
-
-
-@contextmanager
-def packed_kernel(enabled: bool):
-    """Scoped override of the packed-kernel switch (used by the tests)."""
-    previous = set_packed_kernel(enabled)
-    try:
-        yield
-    finally:
-        set_packed_kernel(previous)
 
 
 class LruCache:
@@ -145,8 +52,9 @@ class LruCache:
     which is what ``repro summarize`` reports as ``opt.cache_hit`` /
     ``opt.cache_miss``).  Evictions increment
     ``cache.<name>.eviction`` plus ``eviction_counter`` when one is
-    named (the result memo uses ``opt.memo_evictions``), so a memo
-    thrashing its bound is visible in ``repro summarize``.
+    named (the BTO / exhaustive result memo uses
+    ``opt.memo_evictions``), so a memo thrashing its bound is visible
+    in ``repro summarize``.
 
     ``journal``, when set to a list, receives every ``(key, value)``
     pair stored through :meth:`put` — the warm-pool workers use it to

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .. import caching, obs
+from .. import obs
 from ..boolean.function import BooleanFunction
 from ..boolean.partition import Partition, partition_count, random_partition
 from ..metrics import distributions
@@ -38,6 +38,7 @@ from .cost import (
     cost_vectors_fixed,
     cost_vectors_predictive,
 )
+from .dalta import sample_partitions
 from .modes import select_mode
 from .nondisjoint import optimize_nondisjoint
 from .opt_for_part import (
@@ -177,9 +178,9 @@ def find_best_settings(
     beam = _Beam(n_beam)
     best_bto: Optional[Setting] = None
     budget = min(config.partition_limit, partition_count(n_inputs, config.bound_size))
-    # One memo handle per (costs, p) context: partitions revisited with
-    # identical context (and, for the randomised variant, identical
-    # pattern draws) come straight from the result cache.
+    # One kernel context per (costs, p): the packed-tier verdict and the
+    # weighted cost vectors are computed once, and a BTO result of a
+    # partition revisited in the same context comes from the memo.
     memo = memo_context(costs, p)
 
     def record(partition: Partition, result) -> float:
@@ -208,7 +209,7 @@ def find_best_settings(
         return record(partition, result)
 
     def visit_batch(
-        partitions: List[Partition], patterns: Union[np.ndarray, List[np.ndarray]]
+        partitions: List[Partition], patterns: np.ndarray
     ) -> List[float]:
         """Batched OptForPart over same-shape partitions, serial order.
 
@@ -235,44 +236,13 @@ def find_best_settings(
         ]
 
     if partition_search == "random":
-        # Ablation mode: DALTA-style independent random sampling.
-        sampled = set()
-        if caching.fast_paths_enabled():
-            # Take every generator draw (partition, then its initial
-            # patterns) in serial order, but defer the evaluation to one
-            # batch — all partitions share the (b, n-b) shape.
-            order: List[Partition] = []
-            drawn: List[np.ndarray] = []
-            attempts = 0
-            while len(sampled) < budget and attempts < 20 * budget:
-                attempts += 1
-                partition = random_partition(n_inputs, config.bound_size, rng)
-                if partition in sampled:
-                    continue
-                sampled.add(partition)
-                order.append(partition)
-                # one direct draw per accepted partition (the stream
-                # interleaves with partition sampling, so the batch
-                # stack cannot be preallocated up front)
-                drawn.append(
-                    rng.integers(
-                        0,
-                        2,
-                        size=(config.n_initial_patterns, partition.n_cols),
-                        dtype=np.uint8,
-                    )
-                )
-            visit_batch(order, drawn)
-        else:
-            attempts = 0
-            while len(sampled) < budget and attempts < 20 * budget:
-                attempts += 1
-                partition = random_partition(n_inputs, config.bound_size, rng)
-                if partition in sampled:
-                    continue
-                sampled.add(partition)
-                visit(partition)
-        stats.partitions_visited += len(sampled)
+        # Ablation mode: DALTA-style independent random sampling, every
+        # sampled partition evaluated in one batch.
+        partitions, drawn = sample_partitions(
+            n_inputs, config.bound_size, budget, config.n_initial_patterns, rng
+        )
+        visit_batch(partitions, drawn)
+        stats.partitions_visited += len(partitions)
         return FindBestSettingsResult(beam.items, best_bto)
 
     # Lines 1-3: one random initial partition per SA chain.  The paper
@@ -317,41 +287,22 @@ def find_best_settings(
                 obs.incr("sa.iterations")
                 best_nb: Optional[Partition] = None
                 best_nb_error = math.inf
-                if caching.fast_paths_enabled():
-                    # All of this iteration's unvisited neighbours go
-                    # through one stacked OptForPart call.  No generator
-                    # use happens between the (already completed)
-                    # neighbour sampling and the pattern draws, so the
-                    # stream matches the serial walk exactly.
-                    scan, fresh = _collect_neighbours(
-                        neighbours, visited, budget
-                    )
-                    errors = visit_batch(
-                        fresh, _draw_patterns(fresh, config, rng)
-                    )
-                    for neighbour, error in zip(fresh, errors):
-                        visited[neighbour] = error
-                        changed = True
-                        if error < best_error:
-                            best_error = error
-                    for neighbour in scan:
-                        error = visited[neighbour]
-                        if error < best_nb_error:
-                            best_nb, best_nb_error = neighbour, error
-                else:
-                    for neighbour in neighbours:
-                        if neighbour not in visited:
-                            if len(visited) >= budget:
-                                break
-                            error = visit(neighbour)
-                            visited[neighbour] = error
-                            changed = True
-                            if error < best_error:
-                                best_error = error
-                        else:
-                            error = visited[neighbour]
-                        if error < best_nb_error:
-                            best_nb, best_nb_error = neighbour, error
+                # All of this iteration's unvisited neighbours go
+                # through one stacked OptForPart call.  No generator use
+                # happens between the (already completed) neighbour
+                # sampling and the pattern draws, so the stream matches
+                # a walk that evaluates each neighbour as it meets it.
+                scan, fresh = _collect_neighbours(neighbours, visited, budget)
+                errors = visit_batch(fresh, _draw_patterns(fresh, config, rng))
+                for neighbour, error in zip(fresh, errors):
+                    visited[neighbour] = error
+                    changed = True
+                    if error < best_error:
+                        best_error = error
+                for neighbour in scan:
+                    error = visited[neighbour]
+                    if error < best_nb_error:
+                        best_nb, best_nb_error = neighbour, error
 
                 if best_nb is not None:
                     if best_nb_error <= chain["error"]:

@@ -11,21 +11,90 @@ the not-yet-optimised LSBs are fixed to their *accurate* versions
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .. import caching, obs
+from .. import obs
 from ..boolean.function import BooleanFunction
-from ..boolean.partition import partition_count, random_partition
+from ..boolean.partition import Partition, partition_count, random_partition
 from ..metrics import distributions
 from .config import AlgorithmConfig
-from .cost import apply_objective, cost_vectors_fixed
-from .opt_for_part import memo_context, opt_for_part, opt_for_part_many
+from .cost import BitCosts, apply_objective, cost_vectors_fixed
+from .opt_for_part import memo_context, opt_for_part_many
 from .result import ApproximationResult, SearchStats
 from .settings import Setting, SettingSequence
 
-__all__ = ["run_dalta"]
+__all__ = ["run_dalta", "search_bit", "sample_partitions"]
+
+
+def sample_partitions(
+    n_inputs: int,
+    bound_size: int,
+    budget: int,
+    n_initial_patterns: int,
+    rng: np.random.Generator,
+) -> Tuple[List[Partition], np.ndarray]:
+    """DALTA's random partition sample, with each one's initial patterns.
+
+    Draws up to ``budget`` distinct random partitions (giving up after
+    ``20 * budget`` attempts), each followed at once by its ``(Z, cols)``
+    initial-pattern draw — the generator order of a loop that runs
+    ``opt_for_part`` on every partition as soon as it is drawn.  Returns
+    the partitions and their patterns stacked ``(N, Z, cols)``, ready for
+    one ``opt_for_part_many`` call whose results equal that loop's.
+    """
+    partitions: List[Partition] = []
+    seen = set()
+    drawn = np.empty((budget, n_initial_patterns, 1 << bound_size), dtype=np.uint8)
+    attempts = 0
+    while len(partitions) < budget and attempts < 20 * budget:
+        attempts += 1
+        partition = random_partition(n_inputs, bound_size, rng)
+        if partition in seen:
+            continue
+        seen.add(partition)
+        drawn[len(partitions)] = rng.integers(
+            0, 2, size=(n_initial_patterns, partition.n_cols), dtype=np.uint8
+        )
+        partitions.append(partition)
+    return partitions, drawn[: len(partitions)]
+
+
+def search_bit(
+    costs: BitCosts,
+    p: np.ndarray,
+    n_inputs: int,
+    config: AlgorithmConfig,
+    rng: np.random.Generator,
+    stats: SearchStats,
+) -> Setting:
+    """One DALTA bit: ``OptForPart`` on ``P`` random partitions, keep the best.
+
+    The whole sample runs through one stacked ``opt_for_part_many``
+    call; the first of equal-error settings wins.
+    """
+    budget = min(config.partition_limit, partition_count(n_inputs, config.bound_size))
+    partitions, drawn = sample_partitions(
+        n_inputs, config.bound_size, budget, config.n_initial_patterns, rng
+    )
+    results = opt_for_part_many(
+        costs,
+        p,
+        partitions,
+        n_inputs,
+        memo=memo_context(costs, p),
+        initial_patterns=drawn,
+    )
+    if partitions:
+        obs.incr("dalta.partitions_evaluated", len(partitions))
+    stats.opt_for_part_calls += len(partitions)
+    stats.partitions_visited += len(partitions)
+    best: Optional[Setting] = None
+    for result in results:
+        if best is None or result.error < best.error:
+            best = Setting(result.error, result.decomposition)
+    return best
 
 
 def run_dalta(
@@ -63,7 +132,6 @@ def run_dalta(
     stats = SearchStats()
     sequence = SettingSequence(target.n_outputs)
     history = []
-    max_partitions = partition_count(target.n_inputs, config.bound_size)
 
     with obs.span(
         "dalta.run",
@@ -83,89 +151,9 @@ def run_dalta(
                             cost_vectors_fixed(target, rest, k),
                             config.objective,
                         )
-
-                        best_setting: Optional[Setting] = None
-                        seen = set()
-                        budget = min(config.partition_limit, max_partitions)
-                        attempts = 0
-                        memo = memo_context(costs, p)
-                        if caching.fast_paths_enabled():
-                            # Take every generator draw (partition, then
-                            # its initial patterns) in the order the
-                            # serial loop would, then evaluate the whole
-                            # sample through one stacked OptForPart call
-                            # — results are bitwise identical per item.
-                            # The draws land in one preallocated stack.
-                            order = []
-                            z = config.n_initial_patterns
-                            drawn = np.empty(
-                                (budget, z, 1 << config.bound_size),
-                                dtype=np.uint8,
-                            )
-                            while len(seen) < budget and attempts < 20 * budget:
-                                attempts += 1
-                                partition = random_partition(
-                                    target.n_inputs, config.bound_size, rng
-                                )
-                                if partition in seen:
-                                    continue
-                                seen.add(partition)
-                                drawn[len(order)] = rng.integers(
-                                    0,
-                                    2,
-                                    size=(z, partition.n_cols),
-                                    dtype=np.uint8,
-                                )
-                                order.append(partition)
-                            results = opt_for_part_many(
-                                costs,
-                                p,
-                                order,
-                                target.n_inputs,
-                                memo=memo,
-                                initial_patterns=drawn[: len(order)],
-                            )
-                            if order:
-                                obs.incr(
-                                    "dalta.partitions_evaluated", len(order)
-                                )
-                            stats.opt_for_part_calls += len(order)
-                            for result in results:
-                                if (
-                                    best_setting is None
-                                    or result.error < best_setting.error
-                                ):
-                                    best_setting = Setting(
-                                        result.error, result.decomposition
-                                    )
-                        else:
-                            while len(seen) < budget and attempts < 20 * budget:
-                                attempts += 1
-                                partition = random_partition(
-                                    target.n_inputs, config.bound_size, rng
-                                )
-                                if partition in seen:
-                                    continue
-                                seen.add(partition)
-                                result = opt_for_part(
-                                    costs,
-                                    p,
-                                    partition,
-                                    target.n_inputs,
-                                    n_initial_patterns=config.n_initial_patterns,
-                                    rng=rng,
-                                    memo=memo,
-                                )
-                                stats.opt_for_part_calls += 1
-                                obs.incr("dalta.partitions_evaluated")
-                                if (
-                                    best_setting is None
-                                    or result.error < best_setting.error
-                                ):
-                                    best_setting = Setting(
-                                        result.error, result.decomposition
-                                    )
-                        stats.partitions_visited += len(seen)
+                        best_setting = search_bit(
+                            costs, p, target.n_inputs, config, rng, stats
+                        )
                         sequence = sequence.replace(k, best_setting)
             history.append(sequence.med(target, p))
 

@@ -19,12 +19,11 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .. import caching
 from ..boolean import ops
 from ..boolean.decomposition import MultiSharedDecomposition, NonDisjointDecomposition
 from ..boolean.partition import Partition
 from .cost import BitCosts
-from .opt_for_part import KernelRequest, opt_for_part, opt_for_part_grouped
+from .opt_for_part import KernelRequest, opt_for_part_grouped
 
 __all__ = [
     "NonDisjointResult",
@@ -72,8 +71,6 @@ def _half_problem(
     ``j << shared``); the reduced input words are scattered over
     ``keep`` and OR-ed with it, selecting the cofactor slice of the
     cost vectors and the (unnormalised) conditional distribution.
-    Shared by the serial and grouped candidate loops so both solve the
-    byte-identical half problems.
     """
     full = ops.deposit_bits(reduced_words, keep) | assignment
     half_costs = BitCosts(costs.k, costs.cost0[full], costs.cost1[full])
@@ -97,44 +94,18 @@ def optimize_nondisjoint_shared(
     solves the two conditional disjoint problems; the reported error is
     the sum of the two conditional (probability-weighted, unnormalised)
     errors, i.e. exactly the total MED contribution of this output bit.
+    This is :func:`optimize_nondisjoint` with ``shared`` as the only
+    candidate.
     """
-    if shared not in partition.bound:
-        raise ValueError(f"shared variable {shared} not in bound set")
-    if partition.n_bound < 2:
-        raise ValueError(
-            "non-disjoint decomposition needs a bound set of size >= 2 "
-            "(removing the shared bit must leave a non-empty bound table)"
-        )
-    reduced = _reduced_partition(partition, shared)
-    keep = [i for i in range(n_inputs) if i != shared]
-    reduced_words = ops.all_inputs(n_inputs - 1)
-
-    halves = []
-    total_error = 0.0
-    for j in (0, 1):
-        half_costs, weights = _half_problem(
-            costs, p, reduced_words, keep, j << shared
-        )
-        result = opt_for_part(
-            half_costs,
-            weights,
-            reduced,
-            n_inputs - 1,
-            n_initial_patterns=n_initial_patterns,
-            rng=rng,
-        )
-        halves.append(result.decomposition)
-        total_error += result.error
-
-    decomposition = NonDisjointDecomposition(
+    return optimize_nondisjoint(
+        costs,
+        p,
         partition,
-        shared,
-        halves[0].pattern,
-        halves[0].types,
-        halves[1].pattern,
-        halves[1].types,
+        n_inputs,
+        n_initial_patterns=n_initial_patterns,
+        rng=rng,
+        shared_candidates=(shared,),
     )
-    return NonDisjointResult(total_error, decomposition)
 
 
 def optimize_nondisjoint(
@@ -152,71 +123,38 @@ def optimize_nondisjoint(
     ``shared_candidates`` restricts the enumeration (defaults to the
     full bound set, as the paper does).
 
-    With the fast paths on and an explicit ``rng``, the whole
-    enumeration is *grouped*: the per-half initial patterns are
-    pre-drawn in exactly the serial call order, every conditional half
-    problem becomes a :class:`~repro.core.opt_for_part.KernelRequest`,
-    and all ``2 * len(candidates)`` halves run in one
-    :func:`~repro.core.opt_for_part.opt_for_part_grouped` pass.  The
-    generator stream and every returned bit match the serial loop;
-    strict ``<`` keeps the first-best tie-breaking.
+    The enumeration is *grouped*: every half's initial patterns are
+    drawn candidate-major, half-minor — the order of a loop calling
+    ``opt_for_part`` per half — every conditional half problem becomes a
+    :class:`~repro.core.opt_for_part.KernelRequest`, and all
+    ``2 * len(candidates)`` halves run in one
+    :func:`~repro.core.opt_for_part.opt_for_part_grouped` pass.  Strict
+    ``<`` keeps the first-best tie-breaking.  Without an ``rng`` the
+    draws come from one fresh ``np.random.default_rng()``.
     """
     candidates = (
         tuple(shared_candidates) if shared_candidates is not None else partition.bound
     )
     if not candidates:
         raise ValueError("at least one shared-bit candidate is required")
-    if rng is not None and caching.fast_paths_enabled():
-        return _optimize_nondisjoint_grouped(
-            costs, p, partition, n_inputs, candidates, n_initial_patterns, rng
-        )
-    best: Optional[NonDisjointResult] = None
     for shared in candidates:
-        result = optimize_nondisjoint_shared(
-            costs,
-            p,
-            partition,
-            n_inputs,
-            shared,
-            n_initial_patterns=n_initial_patterns,
-            rng=rng,
-        )
-        if best is None or result.error < best.error:
-            best = result
-    assert best is not None
-    return best
-
-
-def _optimize_nondisjoint_grouped(
-    costs: BitCosts,
-    p: np.ndarray,
-    partition: Partition,
-    n_inputs: int,
-    candidates: Tuple[int, ...],
-    n_initial_patterns: int,
-    rng: np.random.Generator,
-) -> NonDisjointResult:
-    """Grouped shared-bit enumeration; bitwise equal to the serial loop."""
+        if shared not in partition.bound:
+            raise ValueError(f"shared variable {shared} not in bound set")
     if partition.n_bound < 2:
         raise ValueError(
             "non-disjoint decomposition needs a bound set of size >= 2 "
             "(removing the shared bit must leave a non-empty bound table)"
         )
-    for shared in candidates:
-        if shared not in partition.bound:
-            raise ValueError(f"shared variable {shared} not in bound set")
     if n_initial_patterns < 1:
         raise ValueError("n_initial_patterns must be >= 1")
+    if rng is None:
+        rng = np.random.default_rng()
     reduced_words = ops.all_inputs(n_inputs - 1)
     requests: List[KernelRequest] = []
-    reductions: List[Partition] = []
     for shared in candidates:
         reduced = _reduced_partition(partition, shared)
-        reductions.append(reduced)
         keep = [i for i in range(n_inputs) if i != shared]
         for j in (0, 1):
-            # the serial loop's opt_for_part draws happen candidate-
-            # major, half-minor — replicate that exact stream here
             patterns = rng.integers(
                 0, 2, size=(n_initial_patterns, reduced.n_cols), dtype=np.uint8
             )
@@ -300,58 +238,38 @@ def optimize_multi_shared(
     keep = [i for i in range(n_inputs) if i not in shared_set]
     reduced_words = ops.all_inputs(n_inputs - len(shared))
 
-    patterns = []
-    types = []
-    total_error = 0.0
-    if rng is not None and caching.fast_paths_enabled():
-        # grouped: pre-draw each cofactor's patterns in the serial call
-        # order and solve all 2**s conditional problems in one grouped
-        # kernel pass — bitwise equal to the loop below
-        if n_initial_patterns < 1:
-            raise ValueError("n_initial_patterns must be >= 1")
-        requests = []
-        for j in range(1 << len(shared)):
-            assignment = ops.deposit_bits(np.int64(j), shared)
-            draw = rng.integers(
-                0, 2, size=(n_initial_patterns, reduced.n_cols), dtype=np.uint8
-            )
-            half_costs, weights = _half_problem(
-                costs, p, reduced_words, keep, assignment
-            )
-            requests.append(
-                KernelRequest(
-                    half_costs,
-                    weights,
-                    [reduced],
-                    n_inputs - len(shared),
-                    draw[None],
-                )
-            )
-        for (result,) in opt_for_part_grouped(requests):
-            patterns.append(result.decomposition.pattern)
-            types.append(result.decomposition.types)
-            total_error += result.error
-        decomposition = MultiSharedDecomposition(
-            partition, shared, tuple(patterns), tuple(types)
-        )
-        return MultiSharedResult(total_error, decomposition)
+    if n_initial_patterns < 1:
+        raise ValueError("n_initial_patterns must be >= 1")
+    if rng is None:
+        rng = np.random.default_rng()
+    # draw each cofactor's patterns in cofactor order (a per-cofactor
+    # opt_for_part loop's stream) and solve all 2**s conditional
+    # problems in one grouped kernel pass
+    requests = []
     for j in range(1 << len(shared)):
         assignment = ops.deposit_bits(np.int64(j), shared)
+        draw = rng.integers(
+            0, 2, size=(n_initial_patterns, reduced.n_cols), dtype=np.uint8
+        )
         half_costs, weights = _half_problem(
             costs, p, reduced_words, keep, assignment
         )
-        result = opt_for_part(
-            half_costs,
-            weights,
-            reduced,
-            n_inputs - len(shared),
-            n_initial_patterns=n_initial_patterns,
-            rng=rng,
+        requests.append(
+            KernelRequest(
+                half_costs,
+                weights,
+                [reduced],
+                n_inputs - len(shared),
+                draw[None],
+            )
         )
+    patterns = []
+    types = []
+    total_error = 0.0
+    for (result,) in opt_for_part_grouped(requests):
         patterns.append(result.decomposition.pattern)
         types.append(result.decomposition.types)
         total_error += result.error
-
     decomposition = MultiSharedDecomposition(
         partition, shared, tuple(patterns), tuple(types)
     )

@@ -46,30 +46,28 @@ an identical-seed replay.
 
 Bit-packed kernel tier
 ----------------------
-On top of the batching, a packed fast sweep engages when (a) the
-fast-path switch is on, (b) the packed-kernel switch is on
-(``REPRO_PACKED_KERNEL``, :func:`repro.caching.packed_kernel`), and
-(c) the instance passes the *dyadic-exactness* gate of
-:func:`_packed_eligible`: integer-valued cost vectors together with an
-input distribution whose weights all scale to integers on one dyadic
-unit ``2**U``, small enough that every intermediate the kernel forms
-is an integer multiple of ``2**(U-1)`` below 2**53.  Constant
-distributions (the protocol default) pass through a closed-form bound;
-general weighted distributions are admitted by computing the exact
-integer total ``sum_i (cost0_i + cost1_i) * w_i`` through per-bit
-weighted popcounts over packed bit-planes
-(:class:`repro.boolean.packed.WeightPlanes`) — integer accumulation,
-so the verdict itself never rounds.  Under that gate every float64 the
-sweep produces is exact, so the algebraically restructured half-steps
-(:class:`_PackedSweep`) — complement costs from hoisted row sums
-instead of two extra matmuls, zero-costs from one shared-sum matmul,
-pairwise type selection with reference tie-breaking — return
-bit-for-bit the reference kernel's patterns, types, and totals while
-running a fraction of its work.  Ineligible instances (weights that
-need more than 52 bits on a common scale, fractional costs) silently
-take the reference sweep; ``REPRO_FAST_PATHS=0`` disables the whole
-tier.  The differential harness in ``tests/core/test_fast_paths.py`` and
-``tests/core/test_packed_kernel.py`` pins the equivalence.
+On top of the batching, a packed fast sweep engages whenever the
+instance passes the *dyadic-exactness* gate of :func:`_packed_mode`:
+integer-valued cost vectors together with an input distribution whose
+weights all scale to integers on one dyadic unit ``2**U``, small
+enough that every intermediate the kernel forms is an integer multiple
+of ``2**(U-1)`` below 2**53.  Constant distributions (the protocol
+default) pass through a closed-form bound; general weighted
+distributions are admitted by computing the exact integer total
+``sum_i (cost0_i + cost1_i) * w_i`` through per-bit weighted popcounts
+over packed bit-planes (:class:`repro.boolean.packed.WeightPlanes`) —
+integer accumulation, so the verdict itself never rounds.  Under that
+gate every float64 the sweep produces is exact, so the algebraically
+restructured half-steps (:class:`_PackedSweep`) — complement costs
+from hoisted row sums instead of two extra matmuls, zero-costs from
+one shared-sum matmul, pairwise type selection with float-sweep
+tie-breaking — return bit-for-bit the float sweep's patterns, types,
+and totals while running a fraction of its work.  Instances the gate
+refuses (weights that need more than 52 bits on a common scale, such
+as a truncated Gaussian; fractional costs) take the float sweep
+(:func:`_alternate_batch`), the single fallback.  The tier
+differentials under ``tests/core/`` pin the equivalence by forcing the
+float sweep on eligible instances.
 
 Grouped evaluation
 ------------------
@@ -478,7 +476,7 @@ def _packed_mode(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     """Dyadic-exactness gate for the packed sweep.
 
     Returns the widest exact precision tier — ``"f32"``, ``"f64"``, or
-    ``None`` for the reference fallback.  A tier is admitted when every
+    ``None`` for the float-sweep fallback.  A tier is admitted when every
     float the alternation forms is *exactly representable* in it: the
     cost vectors are non-negative integers and the input distribution's
     weights all scale to integers ``w_i`` on one common dyadic unit
@@ -487,7 +485,7 @@ def _packed_mode(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     in units of ``2**(U-1)`` (the half-scale covers the signed
     ``msign`` trick in :class:`_PackedSweep`).  Under those conditions
     the tier's arithmetic is exact in any association order, so the
-    restructured half-steps are bit-identical to the reference kernel;
+    restructured half-steps are bit-identical to the float sweep;
     the float32 tier additionally requires ``U >= -37`` so the
     convergence test's ``1e-12`` slack resolves to the same verdict in
     both precisions (totals are spaced ``2**U`` apart, far wider than
@@ -540,13 +538,13 @@ def _weighted_mode(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     (:class:`~repro.boolean.packed.WeightPlanes`).  Every accumulation
     is in Python integers, so the verdict itself never rounds.  Any
     partial sum of weighted-cost terms the kernel (packed *or*
-    reference) can form lies in ``[-T, T]`` in units of ``2**U``, and
+    float) can form lies in ``[-T, T]`` in units of ``2**U``, and
     the msign half-step's partial sums lie in ``[-T, T]`` in units of
     ``2**(U-1)``; ``T < 2**52`` therefore guarantees every intermediate
     is an exact float64 (``T < 2**24`` with ``U >= -37`` upgrades to
     exact float32 — the same ``2 * T < 2**25`` half-unit budget the
     closed-form constant-``p`` check applies — see
-    :func:`_packed_mode`).  Rejects (reference fallback): non-finite or
+    :func:`_packed_mode`).  Rejects (float-sweep fallback): non-finite or
     negative weights, weights whose integer form needs more than 52
     bits on the common unit, per-entry cost sums at or above 2**52, or
     a total ``T`` at or above 2**52.
@@ -599,15 +597,13 @@ def _weighted_mode(costs: BitCosts, p: np.ndarray) -> Optional[str]:
 def _packed_mode_engaged(
     costs: BitCosts, p: np.ndarray, memo: Optional["OptMemo"] = None
 ) -> Optional[str]:
-    """Switches + eligibility tier, with engagement telemetry.
+    """The eligibility tier, with engagement telemetry.
 
     The eligibility verdict depends only on ``(costs, p)``, so when the
     caller holds an :class:`OptMemo` (which binds exactly that pair)
     the verdict is cached on it — the gate's array scans then run once
     per search context instead of once per kernel call.
     """
-    if not caching.packed_kernel_enabled():
-        return None
     if memo is not None:
         if memo.packed_ok is None:
             mode = _packed_mode(costs, p)
@@ -637,12 +633,12 @@ class _PackedSweep:
     the hoisted row sums ``both`` with zero matmuls
     (``complement = both - pattern``), and the patterns half-step only
     needs the *sign* of ``cost_zero - cost_one = (m4 - m3) @ diff`` —
-    one matmul where the reference takes four.  Each identity holds
+    one matmul where the float sweep takes four.  Each identity holds
     *bitwise* — not just algebraically — because the eligibility gate
     guarantees every operand and sum is an exact float.  Type and
     pattern selection use strict comparisons so ties resolve exactly
-    like the reference kernel (first-index ``argmin``; a cost tie in
-    the patterns step picks pattern bit 0, matching the reference's
+    like the float sweep (first-index ``argmin``; a cost tie in
+    the patterns step picks pattern bit 0, matching the float sweep's
     strict ``cost_one < cost_zero``).
     """
 
@@ -666,7 +662,7 @@ class _PackedSweep:
         one_cost = diff.sum(axis=2)
         self.both = one_cost[:, None, :]
         self.m01 = np.minimum(0.0, one_cost)[:, None, :]
-        # constant-row type by reference tie-breaking: ALL_ZERO unless
+        # constant-row type by float-sweep tie-breaking: ALL_ZERO unless
         # the all-one row is strictly cheaper (argmin prefers index 0)
         self.b01 = np.where(
             one_cost < 0.0, np.int8(_T_ONE), np.int8(_T_ZERO)
@@ -708,7 +704,7 @@ def _packed_types_core(
     """Packed types half-step: one matmul, pairwise exact selection.
 
     Returns ``(use4, use_vt, totals)`` — the two selection masks plus
-    the per-candidate totals.  The ``int8`` type vectors the reference
+    the per-candidate totals.  The ``int8`` type vectors the float
     core emits are only needed for the final output, so the sweep loop
     carries the masks and :func:`_packed_types` materialises types
     once at the end.  When ``patterns`` is ``None`` the candidates
@@ -736,7 +732,7 @@ def _packed_types_core(
 def _packed_types(
     use4: np.ndarray, use_vt: np.ndarray, b01: np.ndarray
 ) -> np.ndarray:
-    """Materialise the reference ``int8`` type vectors from the masks."""
+    """Materialise the float sweep's ``int8`` type vectors from the masks."""
     return np.where(use_vt, use4 + np.int8(_T_PATTERN), b01)
 
 
@@ -745,12 +741,12 @@ def _packed_patterns_core(
 ) -> np.ndarray:
     """Packed patterns half-step: one matmul, sign test only.
 
-    The reference core forms ``cost_zero`` and ``cost_one`` per column
+    The float core forms ``cost_zero`` and ``cost_one`` per column
     and compares them, but the alternation loop only consumes the
     *comparison* (its totals are never read — convergence is judged on
     the types half-step).  Under the eligibility gate the difference
     ``cost_zero - cost_one = (m4 - m3) @ diff`` is exact, so its sign
-    reproduces the reference's strict ``cost_one < cost_zero`` bit for
+    reproduces the float sweep's strict ``cost_one < cost_zero`` bit for
     bit.  The 0/1 result is written straight into ``sweep.v`` as exact
     floats — the very operand the next types half-step multiplies — so
     neither half-step pays a bool→float copy.
@@ -774,7 +770,7 @@ def _alternate_packed(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Packed-tier :func:`_alternate_batch`: same loop, packed cores.
 
-    The convergence test and freeze points mirror the reference driver
+    The convergence test and freeze points mirror :func:`_alternate_batch`
     line for line — only the half-step arithmetic is swapped, and the
     eligibility gate makes that swap bitwise invisible.
 
@@ -818,7 +814,7 @@ def _alternate_packed(
         sweeps += 1
         patterns = _packed_patterns_core(sweep, use4, use_vt)
         use4, use_vt, new_totals = _packed_types_core(sweep)
-        # same op order as the reference driver: (totals - 1e-12) then
+        # same op order as _alternate_batch: (totals - 1e-12) then
         # the compare, so the f32 tier rounds the slack identically
         np.subtract(totals, 1e-12, out=slack)
         np.greater_equal(new_totals, slack, out=slack_ok)
@@ -1368,7 +1364,7 @@ def opt_for_part_bto(
     use, which is why the memo key needs no pattern digest.
     """
     key = None
-    if memo is not None and caching.fast_paths_enabled():
+    if memo is not None:
         key = memo.bto_key(partition)
         cached = _RESULT_MEMO.get(key)
         if cached is not None:
@@ -1424,8 +1420,8 @@ def opt_for_part_exhaustive_many(
     ``(free, bound)`` shape, results in input order, optional memo) so
     oracle comparisons in the property suites can evaluate a whole
     partition batch without hand-rolled loops.  The oracle always runs
-    the *reference* types half-step — it is the thing the fast tiers
-    are judged against — and every batch item is bitwise equal to a
+    the float types half-step — it is the thing the packed tier
+    is judged against — and every batch item is bitwise equal to a
     standalone :func:`opt_for_part_exhaustive` call.
     """
     partitions = list(partitions)
@@ -1445,12 +1441,11 @@ def opt_for_part_exhaustive_many(
                 "refused; use bound sets of size <= 4"
             )
     count = len(partitions)
-    use_memo = memo is not None and caching.fast_paths_enabled()
     results: List[Optional[OptForPartResult]] = [None] * count
     keys: List[Optional[Tuple]] = [None] * count
     misses: List[int] = []
     for index, partition in enumerate(partitions):
-        if use_memo:
+        if memo is not None:
             key = memo.exhaustive_key(partition)
             cached = _RESULT_MEMO.get(key)
             if cached is not None:

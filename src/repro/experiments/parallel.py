@@ -144,11 +144,13 @@ class RunSpec:
 
         ``SeedSequence(base_seed).spawn(k)[i]`` is the canonical spawn
         the serial :func:`repeated_runs` performs, so worker run ``i``
-        is bit-identical to serial run ``i`` by construction.
+        is bit-identical to serial run ``i`` by construction.  That
+        child is ``SeedSequence(base_seed, spawn_key=(i,))``, built here
+        directly so the cost does not grow with ``spawn_index``.
         """
-        return np.random.SeedSequence(self.base_seed).spawn(
-            self.spawn_index + 1
-        )[self.spawn_index]
+        return np.random.SeedSequence(
+            self.base_seed, spawn_key=(self.spawn_index,)
+        )
 
     def seed_info(self) -> Dict[str, Any]:
         """Manifest record of the seed driving this run."""

@@ -1,10 +1,12 @@
-"""Differential tests for the OptForPart performance layer.
+"""Differential tests for the batched search and the OptForPart caches.
 
-Every fast path (cached gather indices, batched ``opt_for_part_many``,
-the BTO / exhaustive result memo) must be *bit-exact*: identical
-errors, identical pattern/type bytes, identical downstream generator
-streams.  These tests pin that contract against the serial reference
-implementation (``caching.fast_paths(False)``).
+The production search loops evaluate a whole generation per stacked
+``OptForPart`` call, and the kernel layer caches gather indices and
+BTO / exhaustive results.  None of that may change a bit: these tests
+pin every search loop against the serial oracle in ``tests/oracle/``
+(identical errors, pattern/type bytes, work counters and downstream
+generator streams) on both kernel tiers, and every cache against a
+direct recomputation.
 """
 
 from __future__ import annotations
@@ -17,18 +19,26 @@ from repro.boolean import Partition, ops, random_partition
 from repro.boolean.truth_table import row_col_indices, table_indices
 from repro.core import (
     AlgorithmConfig,
+    SearchStats,
     cost_vectors_fixed,
+    find_best_settings,
     memo_context,
     opt_for_part,
     opt_for_part_bto,
     opt_for_part_exhaustive,
     opt_for_part_many,
+    optimize_multi_shared,
+    optimize_nondisjoint,
+    optimize_nondisjoint_shared,
     run_bssa,
     run_dalta,
 )
-from repro.metrics import distributions
+from repro.core.dalta import search_bit
 
 from ..conftest import random_bits, random_function
+from ..oracle import serial as oracle
+from ..oracle.serial import run_fingerprint as _run_fingerprint
+from ..oracle.serial import same_result as _same_result
 
 
 @pytest.fixture(autouse=True)
@@ -47,38 +57,12 @@ def _instance(n_inputs, seed):
     return costs, raw / raw.sum()
 
 
-def _same_result(a, b):
-    assert a.error == b.error
-    assert a.partition == b.partition
-    assert a.pattern.tobytes() == b.pattern.tobytes()
-    da, db = a.decomposition, b.decomposition
-    assert da.mode == db.mode
-    if hasattr(da, "types"):
-        assert da.types.tobytes() == db.types.tobytes()
-
-
-def _run_fingerprint(result):
-    """Everything observable about a full algorithm run, as bytes-safe data."""
-    out = [result.algorithm, float(result.med), tuple(result.round_history)]
-    for setting in result.sequence.settings:
-        if setting is None:
-            out.append(None)
-            continue
-        d = setting.decomposition
-        entry = [
-            float(setting.error),
-            d.mode,
-            type(d).__name__,
-            d.partition.free,
-            d.partition.bound,
-            getattr(d, "shared", None),
-        ]
-        for name in ("pattern", "types", "pattern0", "types0", "pattern1", "types1"):
-            vector = getattr(d, name, None)
-            if vector is not None:
-                entry.append((name, vector.tobytes()))
-        out.append(tuple(entry))
-    return out
+def _uniform_instance(n_inputs, seed):
+    """Integer costs + uniform p: eligible for the packed tier."""
+    rng = np.random.default_rng(seed)
+    target = random_function(n_inputs, 3, rng, name="u")
+    costs = cost_vectors_fixed(target, np.zeros(1 << n_inputs, dtype=np.int64), 2)
+    return costs, np.full(1 << n_inputs, 1.0 / (1 << n_inputs))
 
 
 class TestIndexCache:
@@ -210,21 +194,20 @@ class TestResultMemo:
 
     def test_rng_stream_identical_on_hit_and_miss(self):
         """The randomised variant is never memoised: with a context
-        handle or without, fast paths on or off, the result and the
-        generator stream are the same."""
+        handle or without, the result and the generator stream are the
+        same."""
         costs, p = _instance(8, seed=13)
         memo = memo_context(costs, p)
         partition = random_partition(8, 4, np.random.default_rng(9))
         opt_for_part(
             costs, p, partition, 8, rng=np.random.default_rng(1), memo=memo
         )
-        rng_fast = np.random.default_rng(1)
-        rng_slow = np.random.default_rng(1)
-        fast = opt_for_part(costs, p, partition, 8, rng=rng_fast, memo=memo)
-        with caching.fast_paths(False):
-            slow = opt_for_part(costs, p, partition, 8, rng=rng_slow)
-        _same_result(fast, slow)
-        assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+        rng_memo = np.random.default_rng(1)
+        rng_bare = np.random.default_rng(1)
+        with_memo = opt_for_part(costs, p, partition, 8, rng=rng_memo, memo=memo)
+        bare = opt_for_part(costs, p, partition, 8, rng=rng_bare)
+        _same_result(with_memo, bare)
+        assert rng_memo.bit_generator.state == rng_bare.bit_generator.state
         assert caching.cache_stats()["opt.memo"]["size"] == 0
 
     def test_memo_distinguishes_contexts(self):
@@ -248,14 +231,14 @@ class TestResultMemo:
         first = function(costs, p, partition, 7, memo=memo)
         second = function(costs, p, partition, 7, memo=memo)
         assert caching.cache_stats()["opt.memo"]["hits"] == 1
-        with caching.fast_paths(False):
-            reference = function(costs, p, partition, 7)
+        reference = function(costs, p, partition, 7)
+        assert caching.cache_stats()["opt.memo"]["hits"] == 1
         _same_result(first, second)
         _same_result(first, reference)
 
 
 class TestPipelineBitExact:
-    """Full algorithm runs are byte-identical with fast paths on/off."""
+    """Full algorithm runs are byte-identical to the serial oracle."""
 
     CONFIG = AlgorithmConfig(
         bound_size=4,
@@ -267,16 +250,19 @@ class TestPipelineBitExact:
         nd_candidates=2,
     )
 
-    def _run(self, algorithm, architecture, fast):
+    def _run(self, algorithm, architecture):
         rng = np.random.default_rng(2024)
         target = random_function(8, 4, np.random.default_rng(77), name="t")
-        with caching.fast_paths(fast):
-            caching.clear_caches()
-            if algorithm == "dalta":
-                return run_dalta(target, self.CONFIG, rng=rng)
-            return run_bssa(
-                target, self.CONFIG, rng=rng, architecture=architecture
-            )
+        caching.clear_caches()
+        if algorithm == "dalta":
+            return run_dalta(target, self.CONFIG, rng=rng)
+        return run_bssa(
+            target,
+            self.CONFIG,
+            rng=rng,
+            architecture=architecture,
+            partition_search="random" if algorithm == "bs-sa-random" else "sa",
+        )
 
     @pytest.mark.parametrize(
         "algorithm,architecture",
@@ -284,13 +270,15 @@ class TestPipelineBitExact:
             ("bs-sa", "normal"),
             ("bs-sa", "bto-normal"),
             ("bs-sa", "bto-normal-nd"),
+            ("bs-sa-random", "bto-normal-nd"),
             ("dalta", "normal"),
         ],
     )
-    def test_fast_paths_do_not_change_results(self, algorithm, architecture):
-        fast = self._run(algorithm, architecture, fast=True)
-        slow = self._run(algorithm, architecture, fast=False)
-        assert _run_fingerprint(fast) == _run_fingerprint(slow)
+    def test_production_matches_oracle(self, algorithm, architecture, kernel_tier):
+        production = self._run(algorithm, architecture)
+        with oracle.serial_search():
+            reference = self._run(algorithm, architecture)
+        assert _run_fingerprint(production) == _run_fingerprint(reference)
 
     def test_warm_memo_rerun_is_identical(self):
         target = random_function(8, 3, np.random.default_rng(5), name="w")
@@ -305,3 +293,108 @@ class TestPipelineBitExact:
         )
         assert _run_fingerprint(cold) == _run_fingerprint(warm)
         assert caching.cache_stats()["opt.memo"]["hits"] > 0
+
+
+class TestSearchLoopsMatchOracle:
+    """Each batched loop against its serial oracle, one call at a time."""
+
+    CONFIG = AlgorithmConfig(
+        bound_size=3,
+        partition_limit=12,
+        n_initial_patterns=5,
+        n_beam=3,
+        n_neighbours=4,
+        n_chains=2,
+    )
+
+    @pytest.mark.parametrize("partition_search", ["sa", "random"])
+    def test_find_best_settings(self, partition_search, kernel_tier):
+        costs, p = _uniform_instance(7, seed=5)
+        outcomes = []
+        for function in (find_best_settings, oracle.find_best_settings):
+            rng = np.random.default_rng(19)
+            stats = SearchStats()
+            found = function(
+                costs,
+                p,
+                7,
+                self.CONFIG,
+                rng,
+                stats,
+                collect_bto=True,
+                partition_search=partition_search,
+            )
+            outcomes.append((found, stats, rng.bit_generator.state))
+        (found, stats, state), (expected, expected_stats, expected_state) = outcomes
+        assert len(found.settings) == len(expected.settings) == 3
+        for a, b in zip(found.settings, expected.settings):
+            _same_result(a, b)
+        _same_result(found.bto, expected.bto)
+        assert vars(stats) == vars(expected_stats)
+        assert state == expected_state
+
+    def test_dalta_bit(self, kernel_tier):
+        costs, p = _uniform_instance(7, seed=6)
+        outcomes = []
+        for function in (search_bit, oracle.search_bit):
+            rng = np.random.default_rng(23)
+            stats = SearchStats()
+            best = function(costs, p, 7, self.CONFIG, rng, stats)
+            outcomes.append((best, vars(stats), rng.bit_generator.state))
+        (best, stats, state), (expected, expected_stats, expected_state) = outcomes
+        _same_result(best, expected)
+        assert stats == expected_stats and stats["opt_for_part_calls"] == 12
+        assert state == expected_state
+
+    def test_nondisjoint(self, kernel_tier):
+        costs, p = _uniform_instance(7, seed=7)
+        partition = Partition((0, 2, 5), (1, 3, 4, 6))
+        outcomes = []
+        for function in (optimize_nondisjoint, oracle.optimize_nondisjoint):
+            rng = np.random.default_rng(29)
+            result = function(costs, p, partition, 7, n_initial_patterns=5, rng=rng)
+            outcomes.append(
+                (
+                    result.error,
+                    oracle.decomposition_fingerprint(result.decomposition),
+                    rng.bit_generator.state,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+
+    def test_nondisjoint_shared(self, kernel_tier):
+        costs, p = _uniform_instance(6, seed=8)
+        partition = Partition((0, 5), (1, 2, 3, 4))
+        outcomes = []
+        for function in (optimize_nondisjoint_shared, oracle.optimize_nondisjoint_shared):
+            rng = np.random.default_rng(31)
+            result = function(
+                costs, p, partition, 6, 3, n_initial_patterns=4, rng=rng
+            )
+            outcomes.append(
+                (
+                    result.error,
+                    oracle.decomposition_fingerprint(result.decomposition),
+                    rng.bit_generator.state,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("shared", [(2,), (1, 4), (1, 2, 4)])
+    def test_multi_shared(self, shared, kernel_tier):
+        costs, p = _uniform_instance(7, seed=9)
+        partition = Partition((0, 3, 6), (1, 2, 4, 5))
+        outcomes = []
+        for function in (optimize_multi_shared, oracle.optimize_multi_shared):
+            rng = np.random.default_rng(37)
+            result = function(
+                costs, p, partition, 7, shared, n_initial_patterns=5, rng=rng
+            )
+            outcomes.append(
+                (
+                    result.error,
+                    oracle.decomposition_fingerprint(result.decomposition),
+                    rng.bit_generator.state,
+                )
+            )
+        assert outcomes[0] == outcomes[1]

@@ -18,8 +18,8 @@ from repro.core.opt_for_part import KernelRequest, opt_for_part_grouped
 from repro.metrics import distributions
 
 from ..conftest import random_bits
-from .test_fast_paths import _same_result
-from .test_packed_kernel import _integer_costs
+from ..conftest import integer_costs as _integer_costs
+from ..oracle.serial import same_result as _same_result
 
 
 def _single_bit_costs(bits: np.ndarray) -> BitCosts:

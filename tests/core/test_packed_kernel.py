@@ -5,13 +5,14 @@ matmuls, offset bincounts, half-scaled sign products) and is only
 engaged when the dyadic-exactness gate proves every intermediate float
 exactly representable.  Under the gate the tier must be *byte-exact*:
 every error, pattern byte, type byte and consumed rng draw identical
-to the reference sweep with packing disabled.  These tests pin that
-contract at three levels — single kernel calls across sweep budgets,
-full algorithm runs across all three architectures, and packed
-shared-memory arena pages — plus the gate itself, including its
-weighted (non-uniform distribution) certificates and the exact
-weighted popcounts of :class:`repro.boolean.packed.WeightPlanes` they
-rest on.
+to the float sweep, which the oracle's gate fake (``float_tier``)
+forces on the same instances.  These tests pin that contract at three
+levels — single kernel calls across sweep budgets, full algorithm runs
+across all three architectures, and packed shared-memory arena pages —
+plus the gate itself, including its weighted (non-uniform
+distribution) certificates and the exact weighted popcounts of
+:class:`repro.boolean.packed.WeightPlanes` they rest on, and which
+tier the shipped workloads actually reach.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import caching
+from repro import caching, obs, workloads
 from repro.boolean import random_partition
 from repro.boolean.packed import WeightPlanes, pack_bits
 from repro.core import (
@@ -36,10 +37,15 @@ from repro.core import (
     run_bssa,
     run_dalta,
 )
+from repro.experiments import ExperimentScale, run_table2
+from repro.experiments.distribution_study import _make_distribution
 from repro.metrics import distributions
 
+from ..conftest import integer_costs as _integer_costs
 from ..conftest import random_bits, random_function
-from .test_fast_paths import _run_fingerprint, _same_result
+from ..oracle.serial import float_tier, serial_search
+from ..oracle.serial import run_fingerprint as _run_fingerprint
+from ..oracle.serial import same_result as _same_result
 
 # the package re-exports the function under the module's name
 ofp = importlib.import_module("repro.core.opt_for_part")
@@ -54,30 +60,23 @@ def fresh_caches():
     caching.clear_caches()
 
 
-def _integer_costs(n_inputs, seed):
-    rng = np.random.default_rng(seed)
-    bits = random_bits(n_inputs, rng)
-    return cost_vectors_fixed(bits, np.zeros_like(bits), 0)
-
-
 def _uniform_instance(n_inputs, seed):
     """Integer costs + uniform p: the gate's eligible regime."""
     return _integer_costs(n_inputs, seed), distributions.uniform(n_inputs)
 
 
 def _packed_vs_reference(costs, p, n_inputs, bound, count, seed):
-    """Run the same batch packed-on and packed-off; return both."""
+    """Run the same batch on the packed tier and the float sweep."""
     sample = np.random.default_rng(seed)
     partitions = [random_partition(n_inputs, bound, sample) for _ in range(count)]
     rng_on = np.random.default_rng(seed + 1)
     rng_off = np.random.default_rng(seed + 1)
     caching.clear_caches()
-    with caching.packed_kernel(True):
-        on = opt_for_part_many(
-            costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_on
-        )
+    on = opt_for_part_many(
+        costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_on
+    )
     caching.clear_caches()
-    with caching.packed_kernel(False):
+    with float_tier():
         off = opt_for_part_many(
             costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_off
         )
@@ -115,15 +114,6 @@ class TestEligibilityGate:
         costs, _ = _uniform_instance(4, seed=5)
         assert not ofp._packed_eligible(costs, np.empty(0))
 
-    def test_switch_nests_under_fast_paths(self):
-        """REPRO_FAST_PATHS=0 must also disable the packed tier."""
-        assert caching.packed_kernel_enabled()
-        with caching.packed_kernel(False):
-            assert not caching.packed_kernel_enabled()
-        with caching.fast_paths(False):
-            assert not caching.packed_kernel_enabled()
-        assert caching.packed_kernel_enabled()
-
     def test_memo_caches_the_verdict(self):
         costs, p = _uniform_instance(7, seed=6)
         memo = memo_context(costs, p)
@@ -135,7 +125,7 @@ class TestEligibilityGate:
 
 
 class TestKernelByteIdentity:
-    """Packed on vs off: identical bytes out, identical rng stream."""
+    """Packed vs float sweep: identical bytes out, identical rng stream."""
 
     @pytest.mark.parametrize("max_sweeps", [1, 2, 50])
     @pytest.mark.parametrize("n_inputs,bound", [(6, 3), (9, 4), (10, 6)])
@@ -144,12 +134,11 @@ class TestKernelByteIdentity:
         partition = random_partition(n_inputs, bound, np.random.default_rng(3))
         rng_packed = np.random.default_rng(23)
         rng_ref = np.random.default_rng(23)
-        with caching.packed_kernel(True):
-            packed = opt_for_part(
-                costs, p, partition, n_inputs,
-                n_initial_patterns=6, max_sweeps=max_sweeps, rng=rng_packed,
-            )
-        with caching.packed_kernel(False):
+        packed = opt_for_part(
+            costs, p, partition, n_inputs,
+            n_initial_patterns=6, max_sweeps=max_sweeps, rng=rng_packed,
+        )
+        with float_tier():
             reference = opt_for_part(
                 costs, p, partition, n_inputs,
                 n_initial_patterns=6, max_sweeps=max_sweeps, rng=rng_ref,
@@ -165,11 +154,10 @@ class TestKernelByteIdentity:
         partitions = [random_partition(9, 4, sample_rng) for _ in range(count)]
         rng_packed = np.random.default_rng(31)
         rng_ref = np.random.default_rng(31)
-        with caching.packed_kernel(True):
-            packed = opt_for_part_many(
-                costs, p, partitions, 9, n_initial_patterns=5, rng=rng_packed
-            )
-        with caching.packed_kernel(False):
+        packed = opt_for_part_many(
+            costs, p, partitions, 9, n_initial_patterns=5, rng=rng_packed
+        )
+        with float_tier():
             reference = opt_for_part_many(
                 costs, p, partitions, 9, n_initial_patterns=5, rng=rng_ref
             )
@@ -180,47 +168,43 @@ class TestKernelByteIdentity:
     def test_bto_variant(self):
         costs, p = _uniform_instance(8, seed=37)
         partition = random_partition(8, 4, np.random.default_rng(5))
-        with caching.packed_kernel(True):
-            packed = opt_for_part_bto(costs, p, partition, 8)
-        with caching.packed_kernel(False):
+        packed = opt_for_part_bto(costs, p, partition, 8)
+        with float_tier():
             reference = opt_for_part_bto(costs, p, partition, 8)
         _same_result(packed, reference)
 
     def test_ineligible_instance_falls_back(self):
-        """Non-uniform p runs the reference sweep even with packing on."""
+        """Non-uniform p fails the gate and runs the float sweep."""
         rng = np.random.default_rng(41)
         bits = random_bits(7, rng)
         costs = cost_vectors_fixed(bits, np.zeros_like(bits), 0)
         raw = rng.random(1 << 7) + 1e-3
         p = raw / raw.sum()
         partition = random_partition(7, 3, np.random.default_rng(2))
-        with caching.packed_kernel(True):
-            on = opt_for_part(
-                costs, p, partition, 7, rng=np.random.default_rng(9)
-            )
-        with caching.packed_kernel(False):
+        on = opt_for_part(
+            costs, p, partition, 7, rng=np.random.default_rng(9)
+        )
+        with float_tier():
             off = opt_for_part(
                 costs, p, partition, 7, rng=np.random.default_rng(9)
             )
         _same_result(on, off)
 
     def test_memoised_result_matches_reference(self):
-        """A BTO memo warmed under packing replays reference bytes."""
+        """A warmed BTO memo replays the bytes of a memo-less call."""
         costs, p = _uniform_instance(8, seed=43)
         partition = random_partition(8, 4, np.random.default_rng(7))
         memo = memo_context(costs, p)
-        with caching.packed_kernel(True):
-            first = opt_for_part_bto(costs, p, partition, 8, memo=memo)
-            replay = opt_for_part_bto(costs, p, partition, 8, memo=memo)
+        first = opt_for_part_bto(costs, p, partition, 8, memo=memo)
+        replay = opt_for_part_bto(costs, p, partition, 8, memo=memo)
         assert caching.cache_stats()["opt.memo"]["hits"] == 1
-        with caching.fast_paths(False):
-            reference = opt_for_part_bto(costs, p, partition, 8)
+        reference = opt_for_part_bto(costs, p, partition, 8)
         _same_result(first, replay)
         _same_result(first, reference)
 
 
 class TestPipelineByteIdentity:
-    """Full protocol runs are byte-identical with the packed tier on/off."""
+    """Full protocol runs are byte-identical on the packed and float tiers."""
 
     CONFIG = AlgorithmConfig(
         bound_size=4,
@@ -232,16 +216,13 @@ class TestPipelineByteIdentity:
         nd_candidates=2,
     )
 
-    def _run(self, algorithm, architecture, packed):
+    def _run(self, algorithm, architecture):
         rng = np.random.default_rng(2024)
         target = random_function(8, 4, np.random.default_rng(77), name="t")
-        with caching.packed_kernel(packed):
-            caching.clear_caches()
-            if algorithm == "dalta":
-                return run_dalta(target, self.CONFIG, rng=rng)
-            return run_bssa(
-                target, self.CONFIG, rng=rng, architecture=architecture
-            )
+        caching.clear_caches()
+        if algorithm == "dalta":
+            return run_dalta(target, self.CONFIG, rng=rng)
+        return run_bssa(target, self.CONFIG, rng=rng, architecture=architecture)
 
     @pytest.mark.parametrize(
         "algorithm,architecture",
@@ -253,9 +234,50 @@ class TestPipelineByteIdentity:
         ],
     )
     def test_packed_tier_does_not_change_results(self, algorithm, architecture):
-        packed = self._run(algorithm, architecture, packed=True)
-        reference = self._run(algorithm, architecture, packed=False)
+        packed = self._run(algorithm, architecture)
+        with float_tier():
+            reference = self._run(algorithm, architecture)
         assert _run_fingerprint(packed) == _run_fingerprint(reference)
+
+
+class TestTierEngagement:
+    """Which tier the shipped workloads reach, read from telemetry."""
+
+    def test_table2_protocol_runs_packed_only(self):
+        sink = obs.MemorySink()
+        with obs.session(sink):
+            run_table2(ExperimentScale.smoke(), base_seed=0)
+        counters = sink.counters()
+        assert counters.get("opt.packed_calls", 0) > 0
+        assert counters.get("opt.packed_ineligible", 0) == 0
+
+    def test_distribution_study_gaussian_takes_the_float_sweep(self):
+        """The study's truncated Gaussian fails the gate: float fallback.
+
+        Its weights need more than 52 bits on a common dyadic unit, so
+        every kernel call runs the float sweep — and the run still
+        matches the serial oracle byte for byte.
+        """
+        target = workloads.get("cos", 8)
+        p = _make_distribution("midtone-gaussian", 8)
+        config = AlgorithmConfig.fast(seed=None)
+
+        def run():
+            caching.clear_caches()
+            return run_bssa(
+                target, config, p=p, rng=np.random.default_rng(5),
+                architecture="bto-normal-nd",
+            )
+
+        sink = obs.MemorySink()
+        with obs.session(sink):
+            production = run()
+        counters = sink.counters()
+        assert counters.get("opt.packed_ineligible", 0) > 0
+        assert counters.get("opt.packed_calls", 0) == 0
+        with serial_search():
+            reference = run()
+        assert _run_fingerprint(production) == _run_fingerprint(reference)
 
 
 class TestArenaPackedPages:
@@ -268,8 +290,7 @@ class TestArenaPackedPages:
             table = np.random.default_rng(0).integers(
                 0, 1 << 12, size=1 << 12, dtype=np.int64
             )
-            with caching.packed_kernel(True):
-                ref = arena.publish(table)
+            ref = arena.publish(table)
             assert "packed" in ref
             view = pool_mod._table_view(segments, tables, ref)
             assert view.dtype == table.dtype
@@ -289,25 +310,11 @@ class TestArenaPackedPages:
         arena = pool_mod.TableArena()
         try:
             table = np.arange(1 << 12, dtype=np.int64)
-            with caching.packed_kernel(True):
-                ref = arena.publish(table)
-                again = arena.publish(table.copy())
+            ref = arena.publish(table)
+            again = arena.publish(table.copy())
             assert arena.bytes * 5 < table.nbytes
             # content addressing keys the *raw* bytes: idempotent publish
             assert again["name"] == ref["name"] and len(arena) == 1
-        finally:
-            arena.close()
-
-    def test_disabled_tier_publishes_raw_pages(self):
-        from repro.experiments import pool as pool_mod
-
-        arena = pool_mod.TableArena()
-        try:
-            table = np.arange(64, dtype=np.int64)
-            with caching.packed_kernel(False):
-                ref = arena.publish(table)
-            assert "packed" not in ref
-            assert arena.bytes == table.nbytes
         finally:
             arena.close()
 
@@ -317,8 +324,7 @@ class TestArenaPackedPages:
         arena = pool_mod.TableArena()
         try:
             table = np.arange(-32, 32, dtype=np.int64)
-            with caching.packed_kernel(True):
-                ref = arena.publish(table)
+            ref = arena.publish(table)
             assert "packed" not in ref
         finally:
             arena.close()

@@ -9,11 +9,11 @@ acceptance test of the warm-pool backend: persistent workers, the
 shared-memory table transport, and the campaign-shared OptForPart memo
 may change *when* things are computed, never *what*.
 
-The packed-kernel tier adds a second axis: every backend must produce
-the same bytes whether ``REPRO_PACKED_KERNEL`` is on (the default,
-exercised by the suite above) or off — including a chaos-marked
-SIGKILL-and-resume with packing enabled, whose resumed results must
-match a fault-free run with packing *disabled*.
+The packed kernel tier adds a second axis: a campaign whose instances
+all take the packed sweep (every backend above) must match the same
+campaign forced onto the float sweep by the oracle's gate fake —
+including a chaos-marked SIGKILL-and-resume on the packed tier, whose
+resumed results must match a fault-free float-sweep run.
 """
 
 import json
@@ -34,6 +34,8 @@ from repro.experiments.engine import (
 from repro.experiments.runner import ExperimentScale
 from repro.experiments.table2 import run_table2
 from repro.faults import ENV_VAR, FaultPlan
+
+from ..oracle.serial import float_tier
 
 _BASE_SEED = 3
 
@@ -138,52 +140,27 @@ class TestBackendEquivalence:
 
 
 class TestPackedKernelAxis:
-    """The backend grid crossed with the packed-kernel switch.
+    """Serial Table-II on the packed tier against the float sweep.
 
-    The suite above runs every backend with the packed tier on (its
-    default); here the same campaign runs with ``REPRO_PACKED_KERNEL=0``
-    — in-process for the serial reference, via the inherited
-    environment for spawn/pool workers — and each cell must still be
-    byte-identical to the packed-on serial run.
+    The suite above runs every backend on the packed tier (every
+    Table-II instance passes the exactness gate); here the same
+    campaign runs in-process with the gate fake forcing the float
+    sweep, and must be byte-identical to the packed serial run.
     """
 
-    def test_packed_off_backends_match_packed_on_serial(
-        self, tmp_path, monkeypatch
-    ):
-        with caching.packed_kernel(True):
-            caching.clear_caches()
-            packed_on = run_table2(
-                ExperimentScale.smoke(), base_seed=_BASE_SEED
-            )
-
-        monkeypatch.setenv("REPRO_PACKED_KERNEL", "0")
-        with caching.packed_kernel(False):
+    def test_packed_off_backends_match_packed_on_serial(self):
+        caching.clear_caches()
+        packed_on = run_table2(ExperimentScale.smoke(), base_seed=_BASE_SEED)
+        with float_tier():
             caching.clear_caches()
             serial_off = run_table2(
                 ExperimentScale.smoke(), base_seed=_BASE_SEED
             )
-            spawn_off, _ = _campaign(
-                tmp_path, "spawn-off", EngineConfig(n_jobs=2)
-            )
-            pool_off, _ = _campaign(
-                tmp_path,
-                "pool-off",
-                EngineConfig(n_jobs=2, backend="pool"),
-            )
-            warm_config = EngineConfig(
-                n_jobs=2, backend="pool", memo_dir=str(tmp_path / "memo-off")
-            )
-            _campaign(tmp_path, "memo-seed-off", warm_config)
-            warm_off, _ = _campaign(tmp_path, "warm-off", warm_config)
-
         blobs = [
             json.dumps(_strip_times(result.as_dict()), sort_keys=True)
-            for result in (packed_on, serial_off, spawn_off, pool_off, warm_off)
+            for result in (packed_on, serial_off)
         ]
         assert blobs[0] == blobs[1], "packed tier changed serial results"
-        assert blobs[1] == blobs[2], "packed-off spawn diverged from serial"
-        assert blobs[2] == blobs[3], "packed-off pool diverged from spawn"
-        assert blobs[3] == blobs[4], "packed-off warm memo changed results"
 
 
 _SRC = os.path.join(
@@ -202,13 +179,13 @@ run_experiment_campaign("table2", "smoke", {seed}, campaign_dir=sys.argv[1])
 
 @pytest.mark.chaos
 class TestPackedKillResume:
-    """SIGKILL mid-campaign with packing on; resume; compare to packed-off.
+    """SIGKILL a packed campaign; resume; compare to the float sweep.
 
     The strongest cross-check of the tier: a campaign killed at a job
     boundary *with the packed kernel engaged*, resumed from its
     checkpoints (still packed), must reproduce — byte for byte — the
-    MEDs of an uninterrupted campaign that never ran packed code at
-    all.  Any drift in the packed sweep, the checkpoint payloads, or
+    MEDs of an uninterrupted in-process campaign that the gate fake
+    keeps off packed code entirely.  Any drift in the packed sweep, the checkpoint payloads, or
     the resume accounting shows up as a diff here.
     """
 
@@ -217,7 +194,6 @@ class TestPackedKillResume:
         env = dict(os.environ)
         env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
         env[ENV_VAR] = f"abort@{_KILL_AFTER_JOB}"
-        env["REPRO_PACKED_KERNEL"] = "1"
         proc = subprocess.run(
             [sys.executable, "-c", _CHILD.format(seed=_BASE_SEED), campaign_dir],
             env=env,
@@ -228,13 +204,12 @@ class TestPackedKillResume:
         status = campaign_status(campaign_dir)
         assert len(status.done) == _KILL_AFTER_JOB + 1
 
-        with caching.packed_kernel(True):
-            caching.clear_caches()
-            result, outcome = resume_campaign(campaign_dir, faults=FaultPlan())
+        caching.clear_caches()
+        result, outcome = resume_campaign(campaign_dir, faults=FaultPlan())
         assert outcome.complete
         assert outcome.resumed == _KILL_AFTER_JOB + 1
 
-        with caching.packed_kernel(False):
+        with float_tier():
             caching.clear_caches()
             reference = run_table2(
                 ExperimentScale.smoke(), base_seed=_BASE_SEED

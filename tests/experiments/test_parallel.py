@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core import AlgorithmConfig, run_bssa
@@ -39,6 +40,20 @@ class TestRunSpec:
         single = run_many(specs, n_jobs=1)
         multi = run_many(specs, n_jobs=2)
         assert [r.med for r in single] == [r.med for r in multi]
+
+    @pytest.mark.parametrize("base_seed", [0, 7, 2**40])
+    def test_seed_sequence_is_the_canonical_spawn(self, target, config, base_seed):
+        """The direct spawn key equals child ``i`` of ``spawn(i + 1)``."""
+        for index in (0, 1, 5, 99):
+            spec = RunSpec.for_function("bs-sa", target, config, base_seed, index)
+            direct = spec.seed_sequence()
+            spawned = np.random.SeedSequence(base_seed).spawn(index + 1)[index]
+            assert direct.entropy == spawned.entropy
+            assert direct.spawn_key == spawned.spawn_key
+            assert (direct.generate_state(8) == spawned.generate_state(8)).all()
+            draws = np.random.default_rng(direct).integers(0, 2**63, size=4)
+            expected = np.random.default_rng(spawned).integers(0, 2**63, size=4)
+            assert (draws == expected).all()
 
     def test_dalta_spec(self, target, config):
         spec = RunSpec.for_function("dalta", target, config, 0, 0)

@@ -165,6 +165,18 @@ class TestSpecForm:
         )
         assert request.spec.base_seed == 42
 
+    def test_huge_spawn_index_derives_its_seed_at_once(self):
+        import time
+
+        start = time.perf_counter()
+        request = parse_compile_request(
+            spec_doc(direct_seed=None, base_seed=3, spawn_index=2**40)
+        )
+        sequence = request.spec.seed_sequence()
+        request.spec.seed_info()
+        assert time.perf_counter() - start < 0.5
+        assert sequence.spawn_key == (2**40,)
+
     def test_spawn_index_must_be_non_negative(self):
         with pytest.raises(RequestError, match="spawn_index"):
             parse_compile_request(spec_doc(spawn_index=-1))
