@@ -322,9 +322,6 @@ def _generate(kind: str, committed: Dict[str, Any], args, out: Path) -> None:
         from benchmarks.snapshot_parallel import main
 
         argv += ["--jobs", str(args.jobs)]
-        capacity = committed.get("memo_capacity")
-        if capacity:
-            argv += ["--memo-capacity", str(capacity)]
     print(
         f"[check_regression] generating fresh {kind} snapshot "
         f"({benchmarks}, repeats={args.repeats})...",

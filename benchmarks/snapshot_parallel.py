@@ -7,8 +7,7 @@ engine under every execution backend —
 * ``spawn`` — the fault-isolated per-job subprocess backend (each job
   pays a fresh interpreter + import),
 * ``pool_cold`` — the warm-pool backend with cold caches (persistent
-  workers, shared-memory truth tables, the campaign-shared BTO /
-  exhaustive memo) —
+  workers, shared-memory truth tables) —
 
 and the script asserts every mode's MEDs are **byte-identical** before
 recording wall-clock times and speedups.  Timed passes run without
@@ -18,8 +17,7 @@ pool counters for the snapshot.
 Usage::
 
     PYTHONPATH=src python -m benchmarks.snapshot_parallel \
-        --scale default --repeats 2 --memo-capacity 262144 \
-        --out BENCH_parallel.json
+        --scale default --repeats 2 --out BENCH_parallel.json
 
 CI runs the smoke scale as a consistency gate: any cross-backend MED
 disagreement fails the script.
@@ -42,7 +40,6 @@ from repro.experiments.engine import (
     resolve_jobs,
     run_experiment_campaign,
 )
-from repro.experiments.pool import DEFAULT_MEMO_CAPACITY
 
 from benchmarks import snapshot_provenance
 
@@ -107,13 +104,6 @@ def main(argv=None) -> int:
         default=1,
         help="timed repetitions per backend (min is reported)",
     )
-    parser.add_argument(
-        "--memo-capacity",
-        type=int,
-        default=DEFAULT_MEMO_CAPACITY,
-        help="shared OptForPart memo bound (entries); size it above the "
-        "campaign's OptForPart working set for a fully-warm replay",
-    )
     parser.add_argument("--out", default=None, help="JSON output path")
     args = parser.parse_args(argv)
 
@@ -124,9 +114,7 @@ def main(argv=None) -> int:
     jobs = resolve_jobs(args.jobs)
 
     spawn_config = EngineConfig(n_jobs=jobs)
-    pool_config = EngineConfig(
-        n_jobs=jobs, backend="pool", memo_capacity=args.memo_capacity
-    )
+    pool_config = EngineConfig(n_jobs=jobs, backend="pool")
 
     snapshot = {
         "protocol": "table2",
@@ -138,7 +126,6 @@ def main(argv=None) -> int:
         "base_seed": args.base_seed,
         "jobs": jobs,
         "repeats": args.repeats,
-        "memo_capacity": args.memo_capacity,
     }
 
     with tempfile.TemporaryDirectory(prefix="bench-parallel-") as tmp:

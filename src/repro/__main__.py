@@ -184,7 +184,6 @@ def _engine_config(args) -> EngineConfig:
         max_retries=args.retries,
         backoff_base=args.backoff,
         backend=args.backend,
-        memo_dir=args.memo_dir,
         metrics_port=args.metrics_port,
         store=getattr(args, "store", "local"),
         shard_index=None if shard is None else shard[0],
@@ -390,7 +389,6 @@ def _cmd_serve(args) -> int:
         config = ServeConfig(
             jobs=resolve_jobs(args.jobs),
             backend=args.backend,
-            memo_dir=args.memo_dir,
             artifact_dir=args.artifact_dir,
             cache_size=args.cache_size,
             batch_window=args.batch_window,
@@ -504,17 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["spawn", "pool"],
         help=(
             "execution backend: spawn = one fault-isolated process per "
-            "job, pool = persistent warm workers with a shared memo "
-            "(see docs/performance.md)"
-        ),
-    )
-    engine_opts.add_argument(
-        "--memo-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persist the campaign's shared OptForPart memo here "
-            "(pool backend only) so repeated campaigns start warm"
+            "job, pool = persistent warm workers over shared-memory "
+            "tables (see docs/performance.md)"
         ),
     )
     engine_opts.add_argument(
@@ -669,15 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="pool",
         choices=["pool", "inline"],
         help=(
-            "pool = warm worker processes with the shared OptForPart "
-            "memo, inline = compile in-process (single-core hosts, tests)"
+            "pool = warm worker processes, "
+            "inline = compile in-process (single-core hosts, tests)"
         ),
-    )
-    serve_parser.add_argument(
-        "--memo-dir",
-        default=None,
-        metavar="DIR",
-        help="persist the pool's shared OptForPart memo here",
     )
     serve_parser.add_argument(
         "--artifact-dir",

@@ -12,8 +12,8 @@ Layout is fully deterministic and platform-independent: plane ``j``
 word ``w`` bit ``i`` (little-endian within the word) holds output bit
 ``j`` of entry ``64 * w + i``; pad bits beyond the table length are
 always zero, so two packed tables are equal iff their planes are
-byte-equal — which is what lets the shared-memory ``TableArena`` and
-the ``opt.memo`` digest keys address packed pages by content.
+byte-equal — which is what lets the shared-memory ``TableArena``
+address packed pages by content.
 
 The module mirrors :mod:`repro.boolean.truth_table` in spirit: pure
 functions plus a small immutable container with a ``_trusted``

@@ -179,8 +179,7 @@ def find_best_settings(
     best_bto: Optional[Setting] = None
     budget = min(config.partition_limit, partition_count(n_inputs, config.bound_size))
     # One kernel context per (costs, p): the packed-tier verdict and the
-    # weighted cost vectors are computed once, and a BTO result of a
-    # partition revisited in the same context comes from the memo.
+    # weighted cost vectors are computed once.
     memo = memo_context(costs, p)
 
     def record(partition: Partition, result) -> float:

@@ -37,12 +37,10 @@ wall clock of the search loops:
   result is bitwise equal to a standalone call, and converged items
   are frozen at exactly the sweep where the serial loop would stop.
 
-The deterministic BTO / exhaustive variants also memoise full results
-(:func:`result_memo`), keyed by digests of the cost vectors, the input
-distribution and the partition; they hit whenever a bit's context is
-revisited unchanged.  The randomised variant is not memoised: its
-result depends on the drawn initial patterns, so it could only hit on
-an identical-seed replay.
+No variant memoises results.  A result memo keyed by ``(costs, p,
+partition)`` never hit on the Table-II or Fig-5/6 campaigns or on serve
+traffic, and a replayed job is skipped whole by the checkpoint store or
+the serve artifact cache.
 
 Bit-packed kernel tier
 ----------------------
@@ -81,7 +79,6 @@ uses it to evaluate all of a candidate's halves in one dispatch.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -89,7 +86,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import caching, obs
+from .. import obs
 from ..boolean.decomposition import (
     BoundOnlyDecomposition,
     DisjointDecomposition,
@@ -105,7 +102,6 @@ __all__ = [
     "OptMemo",
     "KernelRequest",
     "memo_context",
-    "result_memo",
     "opt_for_part",
     "opt_for_part_many",
     "opt_for_part_grouped",
@@ -132,30 +128,6 @@ _T_ZERO = int(RowType.ALL_ZERO)
 _T_ONE = int(RowType.ALL_ONE)
 _T_PATTERN = int(RowType.PATTERN)
 _T_COMPLEMENT = int(RowType.COMPLEMENT)
-
-#: process-wide memo of the deterministic variants (BTO, exhaustive);
-#: entries are a few hundred bytes each.  Evictions feed the
-#: ``opt.memo_evictions`` counter so `repro summarize` shows when the
-#: bound is thrashing.
-_RESULT_MEMO = caching.LruCache(
-    "opt.memo",
-    maxsize=4096,
-    aggregate="opt.cache",
-    eviction_counter="opt.memo_evictions",
-)
-
-
-def result_memo() -> caching.LruCache:
-    """The process-wide BTO / exhaustive ``OptForPart`` result memo.
-
-    Exposed for the warm-pool execution backend, which seeds worker
-    memos from a campaign-shared segment and exports freshly computed
-    entries after each job (see ``repro.experiments.pool``).  Entries
-    are safe to share across processes: keys are content digests, so a
-    hit is provably the value a recompute would produce.
-    """
-    return _RESULT_MEMO
-
 
 @dataclass(frozen=True)
 class OptForPartResult:
@@ -187,16 +159,14 @@ class OptMemo:
     Created by :func:`memo_context`.  Everything here depends only on
     the pair, so it is computed once per search context instead of once
     per kernel call: the packed-tier eligibility verdict, the weighted
-    cost vectors, the packed sweep's pre-differenced weight grid and
-    its ``w0.sum()`` offset, and the content digest keying the BTO /
-    exhaustive result memo (taken on first use).  The callers
+    cost vectors, and the packed sweep's pre-differenced weight grid
+    and its ``w0.sum()`` offset.  It holds no results.  The callers
     (``find_best_settings``, DALTA's bit loop) own the arrays for the
     duration, so the cached values stay valid.
     """
 
     __slots__ = (
-        "costs", "p", "packed_ok", "packed_mode",
-        "_context_key", "_weights", "_packed_grid",
+        "costs", "p", "packed_ok", "packed_mode", "_weights", "_packed_grid",
     )
 
     def __init__(self, costs: BitCosts, p: np.ndarray) -> None:
@@ -206,22 +176,8 @@ class OptMemo:
         # tier) for the bound (costs, p) pair — see _packed_mode_engaged()
         self.packed_ok: Optional[bool] = None
         self.packed_mode: Optional[str] = None
-        self._context_key: Optional[Tuple] = None
         self._weights: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._packed_grid: Optional[Tuple[np.ndarray, float]] = None
-
-    @property
-    def context_key(self) -> Tuple:
-        """Content digest of ``(costs, p)`` for the result-memo keys."""
-        if self._context_key is None:
-            h = hashlib.sha1()
-            h.update(np.ascontiguousarray(self.costs.cost0).tobytes())
-            h.update(np.ascontiguousarray(self.costs.cost1).tobytes())
-            h.update(np.ascontiguousarray(self.p).tobytes())
-            self._context_key = (
-                int(self.costs.k), self.costs.cost0.shape[0], h.digest()
-            )
-        return self._context_key
 
     def weights(self) -> Tuple[np.ndarray, np.ndarray]:
         """The weighted cost vectors ``costs.weighted(p)``."""
@@ -250,12 +206,6 @@ class OptMemo:
                 wdiff = wdiff.astype(np.float32)
             self._packed_grid = (wdiff, float(w0.sum()))
         return self._packed_grid
-
-    def bto_key(self, partition: Partition) -> Tuple:
-        return ("bto", self.context_key, partition)
-
-    def exhaustive_key(self, partition: Partition) -> Tuple:
-        return ("exhaustive", self.context_key, partition)
 
 
 def memo_context(costs: BitCosts, p: np.ndarray) -> OptMemo:
@@ -960,7 +910,7 @@ def _best_of(
 ) -> OptForPartResult:
     """Pick the best candidate of one item's final alternation state."""
     best = int(totals.argmin())
-    # copies detach the winner from the batch arrays (memo entries must
+    # copies detach the winner from the batch arrays (results must
     # not pin them); _trusted skips re-validating vectors the exact
     # half-steps produced
     decomposition = DisjointDecomposition._trusted(
@@ -1360,17 +1310,9 @@ def opt_for_part_bto(
     """BTO-restricted ``OptForPart``: all rows are forced to type 3.
 
     With ``T`` fixed, the optimal ``V`` decomposes per column and is
-    found exactly — no random restarts, no alternation, no generator
-    use, which is why the memo key needs no pattern digest.
+    found exactly in one pass — no random restarts, no alternation, no
+    generator use.  ``memo`` only supplies the cached weighted costs.
     """
-    key = None
-    if memo is not None:
-        key = memo.bto_key(partition)
-        cached = _RESULT_MEMO.get(key)
-        if cached is not None:
-            if obs.enabled():
-                obs.incr("opt.bto_calls")
-            return cached
     w0, w1 = memo.weights() if memo is not None else costs.weighted(p)
     idx = gather_index(partition, n_inputs)
     table = (partition.n_rows, partition.n_cols)
@@ -1378,12 +1320,9 @@ def opt_for_part_bto(
     cost_one = w1[idx].reshape(table).sum(axis=0)
     pattern = (cost_one < cost_zero).astype(np.uint8)
     error = float(np.minimum(cost_zero, cost_one).sum())
-    result = OptForPartResult(error, BoundOnlyDecomposition(partition, pattern))
-    if key is not None:
-        _RESULT_MEMO.put(key, result)
     if obs.enabled():
         obs.incr("opt.bto_calls")
-    return result
+    return OptForPartResult(error, BoundOnlyDecomposition(partition, pattern))
 
 
 def opt_for_part_exhaustive(
@@ -1391,8 +1330,6 @@ def opt_for_part_exhaustive(
     p: np.ndarray,
     partition: Partition,
     n_inputs: int,
-    *,
-    memo: Optional[OptMemo] = None,
 ) -> OptForPartResult:
     """Global optimum by enumerating every pattern vector.
 
@@ -1401,9 +1338,7 @@ def opt_for_part_exhaustive(
     true optimum often and never reports a better-than-possible error.
     Single-partition view of :func:`opt_for_part_exhaustive_many`.
     """
-    return opt_for_part_exhaustive_many(
-        costs, p, [partition], n_inputs, memo=memo
-    )[0]
+    return opt_for_part_exhaustive_many(costs, p, [partition], n_inputs)[0]
 
 
 def opt_for_part_exhaustive_many(
@@ -1411,13 +1346,11 @@ def opt_for_part_exhaustive_many(
     p: np.ndarray,
     partitions: Sequence[Partition],
     n_inputs: int,
-    *,
-    memo: Optional[OptMemo] = None,
 ) -> List[OptForPartResult]:
     """Batched exhaustive oracle over same-shape partitions.
 
     Accepts the same batched inputs as :func:`opt_for_part_many` (one
-    ``(free, bound)`` shape, results in input order, optional memo) so
+    ``(free, bound)`` shape, results in input order) so
     oracle comparisons in the property suites can evaluate a whole
     partition batch without hand-rolled loops.  The oracle always runs
     the float types half-step — it is the thing the packed tier
@@ -1440,47 +1373,28 @@ def opt_for_part_exhaustive_many(
                 f"exhaustive search over 2**{partition.n_cols} patterns "
                 "refused; use bound sets of size <= 4"
             )
-    count = len(partitions)
-    results: List[Optional[OptForPartResult]] = [None] * count
-    keys: List[Optional[Tuple]] = [None] * count
-    misses: List[int] = []
-    for index, partition in enumerate(partitions):
-        if memo is not None:
-            key = memo.exhaustive_key(partition)
-            cached = _RESULT_MEMO.get(key)
-            if cached is not None:
-                results[index] = cached
-                continue
-            keys[index] = key
-        misses.append(index)
-
-    if misses:
-        w0, w1 = costs.weighted(p)
-        rows, cols = shape
-        n_patterns = 1 << cols
-        shifts = np.arange(cols, dtype=np.int64)
-        patterns = (
-            (np.arange(n_patterns, dtype=np.int64)[:, None] >> shifts) & 1
-        ).astype(np.uint8)
-        # the enumeration axis replaces Z, so the per-item float
-        # footprint is 2**b times larger than a search sweep's; scale
-        # the chunk size down accordingly
-        chunk_size = max(1, (_BATCH_LIMIT * 32) // n_patterns)
-        for start in range(0, len(misses), chunk_size):
-            chunk = misses[start : start + chunk_size]
-            d0 = np.empty((len(chunk), rows, cols))
-            d1 = np.empty_like(d0)
-            for j, i in enumerate(chunk):
-                idx = gather_index(partitions[i], n_inputs)
-                np.take(w0, idx, out=d0[j].reshape(-1))
-                np.take(w1, idx, out=d1[j].reshape(-1))
-            stacked = np.broadcast_to(
-                patterns, (len(chunk), n_patterns, cols)
-            )
-            types, totals = _optimal_types_batch(d0, d1, stacked)
-            for j, index in enumerate(chunk):
-                result = _best_of(partitions[index], patterns, types[j], totals[j])
-                results[index] = result
-                if keys[index] is not None:
-                    _RESULT_MEMO.put(keys[index], result)
-    return results  # type: ignore[return-value]
+    w0, w1 = costs.weighted(p)
+    rows, cols = shape
+    n_patterns = 1 << cols
+    shifts = np.arange(cols, dtype=np.int64)
+    patterns = (
+        (np.arange(n_patterns, dtype=np.int64)[:, None] >> shifts) & 1
+    ).astype(np.uint8)
+    # the enumeration axis replaces Z, so the per-item float footprint
+    # is 2**b times larger than a search sweep's; scale the chunk size
+    # down accordingly
+    chunk_size = max(1, (_BATCH_LIMIT * 32) // n_patterns)
+    results: List[OptForPartResult] = []
+    for start in range(0, len(partitions), chunk_size):
+        chunk = partitions[start : start + chunk_size]
+        d0 = np.empty((len(chunk), rows, cols))
+        d1 = np.empty_like(d0)
+        for j, partition in enumerate(chunk):
+            idx = gather_index(partition, n_inputs)
+            np.take(w0, idx, out=d0[j].reshape(-1))
+            np.take(w1, idx, out=d1[j].reshape(-1))
+        stacked = np.broadcast_to(patterns, (len(chunk), n_patterns, cols))
+        types, totals = _optimal_types_batch(d0, d1, stacked)
+        for j, partition in enumerate(chunk):
+            results.append(_best_of(partition, patterns, types[j], totals[j]))
+    return results

@@ -182,14 +182,14 @@ class RunSpec:
 
     def execute(self, fresh_caches: bool = True) -> ApproximationResult:
         # Fresh caches per run: results are cache-independent by
-        # construction, but the cache hit/miss counters are not — a
-        # warm memo would make worker telemetry depend on which runs
+        # construction, but the cache hit/miss counters are not — warm
+        # caches would make worker telemetry depend on which runs
         # shared a process, breaking serial-vs-parallel counter
         # equality (see tests/obs/test_integration.py).  The warm-pool
-        # workers pass ``fresh_caches=False``: the campaign-shared
-        # OptForPart memo must survive across jobs, and memo hits are
-        # bit-exact by construction (content-digest keys), so only the
-        # counters — never the results — depend on warmth.
+        # workers pass ``fresh_caches=False`` so the index and
+        # neighbour caches stay warm across jobs; those caches hold
+        # pure functions of their keys, so only the counters — never
+        # the results — depend on warmth.
         if fresh_caches:
             caching.clear_caches()
         # Re-seed the legacy global NumPy state from the same spawned
@@ -257,8 +257,8 @@ def run_many(
     ``backend``).  ``backend`` selects the multi-process transport:
     ``"spawn"`` is the fault-isolated per-job path (a process pool of
     pickled jobs), ``"pool"`` the warm-pool path of
-    :mod:`repro.experiments.pool` — persistent workers, shared-memory
-    tables, and a campaign-shared OptForPart memo.  Under an active
+    :mod:`repro.experiments.pool` — persistent workers and
+    shared-memory tables.  Under an active
     telemetry session, worker telemetry is aggregated into the parent
     session and a ``run.completed`` event (one progress line on the
     stderr sink) fires per run.

@@ -12,29 +12,17 @@ can select per campaign:
 * a :class:`TableArena` that publishes truth tables into
   ``multiprocessing.shared_memory`` segments, content-addressed by
   digest — workers attach once per distinct table and hand the
-  algorithms a zero-copy read-only numpy view instead of a pickle;
-* a :class:`MemoLog`, the campaign-shared ``OptForPart`` memo: an
-  append-only shared-memory log of pickled ``(key, value)`` entries.
-  The parent is the single writer; each job message carries the
-  committed length, so workers never observe a torn frame.  Workers
-  import new entries before a job and journal the entries the job
-  computed (see ``LruCache.journal``); the parent dedups and appends
-  them.  Keys are the content digests from
-  :mod:`repro.core.opt_for_part`, so a memo hit is bit-exact by
-  construction and sharing cannot change any output bit;
-* an optional on-disk snapshot (``optmemo.pkl`` under ``memo_dir``)
-  saved on pool shutdown and republished on startup, so repeated
-  Table-II / Fig-5 campaigns start warm.
+  algorithms a zero-copy read-only numpy view instead of a pickle.
 
 Determinism: workers run :meth:`RunSpec.execute` with
-``fresh_caches=False`` (the shared memo must survive across jobs) but
-every run still re-seeds from the same ``SeedSequence.spawn`` draw and
-pre-draws its SA patterns before any memo lookup, so results are
-byte-identical to the serial and per-job-spawn backends — the
-differential test in ``tests/engine/test_backend_equivalence.py`` pins
-this.  Worker *telemetry counters* (cache hits) legitimately differ
-with memo warmth; manifests are compared modulo timings and cache
-counters.
+``fresh_caches=False``, so the index and neighbour caches stay warm
+across jobs.  Those caches hold pure functions of their keys, and every
+run still re-seeds from the same ``SeedSequence.spawn`` draw, so
+results are byte-identical to the serial and per-job-spawn backends —
+the differential test in ``tests/engine/test_backend_equivalence.py``
+pins this.  Worker *telemetry counters* (cache hits) legitimately
+differ with cache warmth; manifests are compared modulo timings and
+cache counters.
 
 Fault injection: the pool accepts the same :class:`repro.faults.Fault`
 objects as the spawn backend — ``crash``/``hang`` fire inside the
@@ -48,14 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import struct
-import tempfile
 import threading
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection, shared_memory
+from dataclasses import dataclass
+from multiprocessing import connection, resource_tracker, shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing
@@ -67,35 +52,13 @@ from .. import obs
 from ..obs import exposition
 from ..boolean.packed import PackedTable
 from ..core.config import AlgorithmConfig
-from ..core.opt_for_part import result_memo
 from .parallel import RunSpec
 
-__all__ = [
-    "DEFAULT_MEMO_CAPACITY",
-    "MEMO_SNAPSHOT_FILE",
-    "TableArena",
-    "MemoLog",
-    "PoolEvent",
-    "WorkerPool",
-    "load_memo_snapshot",
-    "save_memo_snapshot",
-]
-
-#: default bound on the number of shared memo entries per campaign
-DEFAULT_MEMO_CAPACITY = 1 << 16
-
-#: snapshot file name inside ``--memo-dir``
-MEMO_SNAPSHOT_FILE = "optmemo.pkl"
-
-#: length prefix of one memo-log frame
-_FRAME = struct.Struct("<Q")
+__all__ = ["TableArena", "PoolEvent", "WorkerPool"]
 
 #: the truncated payload an injected ``corrupt`` fault produces — the
 #: same garbage the spawn backend's worker writes to its checkpoint
 _CORRUPT_PAYLOAD = '{"schema": 1, "med": 0.0, "settings": [{"trunc'
-
-_SNAPSHOT_FORMAT = "repro-optmemo"
-_SNAPSHOT_SCHEMA = 1
 
 
 def _preferred_context():
@@ -235,163 +198,6 @@ def _table_view(
 
 
 # ======================================================================
-# The campaign-shared OptForPart memo log
-# ======================================================================
-class MemoLog:
-    """Append-only shared-memory log of memo entries, parent as writer.
-
-    Frames are length-prefixed pickled lists of ``(key, value)`` pairs.
-    Workers read ``[their offset, committed)`` where ``committed``
-    arrives inside each job message — the parent never sends a length
-    it has not finished writing, so a torn read is impossible.  Growth
-    rotates to a doubled segment, copying the committed bytes so every
-    worker offset stays valid; retired segments are kept until
-    :meth:`close` so a worker attaching a just-rotated name never
-    races an unlink.
-    """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_MEMO_CAPACITY,
-        initial_bytes: int = 1 << 20,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.committed = 0
-        self.dropped = 0
-        self._segment = shared_memory.SharedMemory(
-            create=True, size=initial_bytes
-        )
-        self._retired: List[shared_memory.SharedMemory] = []
-        self._keys = set()
-        self._entries: List[Tuple[Any, Any]] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def ref(self) -> Tuple[str, int]:
-        """``(segment name, committed length)`` for a job message."""
-        return (self._segment.name, self.committed)
-
-    def entries(self) -> List[Tuple[Any, Any]]:
-        """Every published entry (for the disk snapshot)."""
-        return list(self._entries)
-
-    def publish(self, pairs: Sequence[Tuple[Any, Any]]) -> int:
-        """Append entries not yet in the log; returns how many were new.
-
-        Entries beyond ``capacity`` are dropped (counted in
-        ``dropped`` and the ``pool.memo_dropped`` counter) — the log is
-        a bounded cache, not an unbounded journal.
-        """
-        fresh: List[Tuple[Any, Any]] = []
-        for key, value in pairs:
-            if value is None or key in self._keys:
-                continue
-            if len(self._entries) + len(fresh) >= self.capacity:
-                self.dropped += 1
-                obs.incr("pool.memo_dropped")
-                continue
-            self._keys.add(key)
-            fresh.append((key, value))
-        if not fresh:
-            return 0
-        frame = pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL)
-        needed = self.committed + _FRAME.size + len(frame)
-        if needed > self._segment.size:
-            self._rotate(needed)
-        buffer = self._segment.buf
-        _FRAME.pack_into(buffer, self.committed, len(frame))
-        buffer[self.committed + _FRAME.size : needed] = frame
-        self.committed = needed
-        self._entries.extend(fresh)
-        obs.incr("pool.memo_published", len(fresh))
-        return len(fresh)
-
-    def _rotate(self, needed: int) -> None:
-        size = self._segment.size
-        while size < needed:
-            size *= 2
-        replacement = shared_memory.SharedMemory(create=True, size=size)
-        replacement.buf[: self.committed] = self._segment.buf[: self.committed]
-        self._retired.append(self._segment)
-        self._segment = replacement
-        obs.incr("pool.memo_rotations")
-
-    def close(self) -> None:
-        for segment in self._retired + [self._segment]:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._retired = []
-
-
-def read_memo_frames(buffer, start: int, end: int) -> List[Tuple[Any, Any]]:
-    """Decode the log frames in ``[start, end)`` (worker import path)."""
-    entries: List[Tuple[Any, Any]] = []
-    offset = start
-    while offset < end:
-        (length,) = _FRAME.unpack_from(buffer, offset)
-        offset += _FRAME.size
-        entries.extend(pickle.loads(bytes(buffer[offset : offset + length])))
-        offset += length
-    return entries
-
-
-# ======================================================================
-# Disk snapshot (--memo-dir)
-# ======================================================================
-def load_memo_snapshot(memo_dir: str) -> List[Tuple[Any, Any]]:
-    """Entries from ``memo_dir``'s snapshot, or ``[]`` when absent/bad."""
-    path = os.path.join(memo_dir, MEMO_SNAPSHOT_FILE)
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-        return []
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != _SNAPSHOT_FORMAT
-        or payload.get("schema") != _SNAPSHOT_SCHEMA
-    ):
-        return []
-    return list(payload.get("entries", []))
-
-
-def save_memo_snapshot(
-    memo_dir: str, entries: Sequence[Tuple[Any, Any]]
-) -> str:
-    """Atomically write the snapshot (temp file + rename); returns path."""
-    os.makedirs(memo_dir, exist_ok=True)
-    path = os.path.join(memo_dir, MEMO_SNAPSHOT_FILE)
-    payload = {
-        "format": _SNAPSHOT_FORMAT,
-        "schema": _SNAPSHOT_SCHEMA,
-        "entries": list(entries),
-    }
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=MEMO_SNAPSHOT_FILE + ".tmp-", dir=memo_dir
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-# ======================================================================
 # Worker process
 # ======================================================================
 def _spec_message(spec: RunSpec) -> Dict[str, Any]:
@@ -470,11 +276,10 @@ def _pool_worker(
     worker_id: int,
     tasks,
     results,
-    memo_capacity: int,
     metrics_interval: Optional[float],
     parent_pid: int,
 ) -> None:
-    """Persistent worker loop: recv job → sync memo → execute → reply.
+    """Persistent worker loop: recv job → execute → reply.
 
     Import ordering note: this function runs in a child of the pool
     parent, so numpy/repro are already imported under the fork start
@@ -488,12 +293,8 @@ def _pool_worker(
     from ..core.serialize import setting_to_dict  # noqa: F401  (warm import)
     from .engine import result_to_payload
 
-    memo = result_memo()
-    if memo_capacity > memo.maxsize:
-        memo.resize(memo_capacity)
     segments: Dict[str, shared_memory.SharedMemory] = {}
     tables: Dict[str, np.ndarray] = {}
-    log_offset = 0
     send_lock = threading.Lock()
     current_job: Dict[str, Any] = {"job": None}
     stop_streaming = threading.Event()
@@ -539,40 +340,26 @@ def _pool_worker(
             break
         fault = message["fault"]
         faults_mod.inject_worker_fault(fault)
-        imported = 0
-        log_ref = message["memo_log"]
-        if log_ref is not None:
-            log_name, committed = log_ref
-            if committed > log_offset:
-                segment = _attach(segments, log_name)
-                entries = read_memo_frames(segment.buf, log_offset, committed)
-                imported = memo.import_entries(entries)
-                log_offset = committed
         table = _table_view(segments, tables, message["table"])
         spec = _spec_from_message(message["spec"], table)
-        journal: List[Tuple[Any, Any]] = []
-        memo.journal = journal
         sink = obs.MemorySink()
         current_job["job"] = (message["index"], message["attempt"])
         try:
+            # keep the index and neighbour caches warm across jobs
             with obs.session(sink):
                 result = spec.execute(fresh_caches=False)
         except Exception:
             current_job["job"] = None
-            memo.journal = None
             _send(
                 {
                     "kind": "error",
                     "index": message["index"],
                     "attempt": message["attempt"],
                     "detail": traceback.format_exc(limit=8),
-                    "memo_delta": None,
-                    "imported": imported,
                 }
             )
             continue
         current_job["job"] = None
-        memo.journal = None
         raw: Optional[str] = None
         if fault is not None and fault.kind == "corrupt":
             payload: Dict[str, Any] = {}
@@ -581,11 +368,6 @@ def _pool_worker(
             payload = result_to_payload(spec, result)
             if message["capture"]:
                 payload["telemetry"] = sink.records
-        delta = (
-            pickle.dumps(journal, protocol=pickle.HIGHEST_PROTOCOL)
-            if journal
-            else None
-        )
         _send(
             {
                 "kind": "ok",
@@ -593,8 +375,6 @@ def _pool_worker(
                 "attempt": message["attempt"],
                 "payload": payload,
                 "raw": raw,
-                "memo_delta": delta,
-                "imported": imported,
             }
         )
     stop_streaming.set()
@@ -635,20 +415,17 @@ class _WorkerHandle:
 
 
 class WorkerPool:
-    """Persistent pre-warmed workers with shared tables and memo.
+    """Persistent pre-warmed workers with shared-memory tables.
 
     The lifecycle is ``submit`` / ``wait`` (used by the engine's
     supervision loop) or the one-shot :meth:`run` (used by
-    ``run_many``), then :meth:`close` — which persists the memo
-    snapshot when ``memo_dir`` is set and tears down every
-    shared-memory segment.
+    ``run_many``), then :meth:`close` — which stops the workers and
+    tears down every shared-memory segment.
     """
 
     def __init__(
         self,
         n_workers: int,
-        memo_capacity: int = DEFAULT_MEMO_CAPACITY,
-        memo_dir: Optional[str] = None,
         capture_telemetry: bool = False,
         metrics_interval: Optional[float] = None,
         context=None,
@@ -658,25 +435,19 @@ class WorkerPool:
         if metrics_interval is not None and metrics_interval <= 0:
             raise ValueError("metrics_interval must be positive")
         self.n_workers = n_workers
-        self.memo_capacity = memo_capacity
-        self.memo_dir = memo_dir
         self.capture_telemetry = capture_telemetry
         #: seconds between mid-job telemetry snapshots (None = off)
         self.metrics_interval = metrics_interval
         self._context = context if context is not None else _preferred_context()
         self.arena = TableArena()
-        self.memo_log = MemoLog(capacity=memo_capacity)
         self._workers: List[_WorkerHandle] = []
         self._closed = False
-        if memo_dir is not None:
-            seeded = self.memo_log.publish(load_memo_snapshot(memo_dir))
-            if seeded:
-                obs.incr("pool.memo_snapshot_loaded", seeded)
-                obs.event(
-                    "pool.memo_snapshot_loaded",
-                    entries=seeded,
-                    memo_dir=memo_dir,
-                )
+        # Workers attaching a table segment register it with the
+        # resource tracker.  Started here, before the first fork, the
+        # tracker is one process shared with every worker; otherwise
+        # each forked worker starts its own, which unlinks the
+        # segments that worker attached as soon as it exits.
+        resource_tracker.ensure_running()
         for worker_id in range(n_workers):
             self._workers.append(self._spawn(worker_id))
 
@@ -690,7 +461,6 @@ class WorkerPool:
                 worker_id,
                 task_recv,
                 result_send,
-                self.memo_capacity,
                 self.metrics_interval,
                 os.getpid(),
             ),
@@ -742,8 +512,6 @@ class WorkerPool:
             "workers": self.n_workers,
             "busy": self.busy_count(),
             "alive": sum(1 for w in self._workers if w.process.is_alive()),
-            "memo_entries": len(self.memo_log),
-            "memo_capacity": self.memo_capacity,
             "arena_tables": len(self.arena),
         }
 
@@ -768,7 +536,6 @@ class WorkerPool:
             "attempt": attempt,
             "spec": _spec_message(spec),
             "table": self.arena.publish(spec.table),
-            "memo_log": self.memo_log.ref,
             "fault": fault,
             "capture": self.capture_telemetry,
         }
@@ -784,8 +551,6 @@ class WorkerPool:
 
         Results are drained before death checks so a worker that
         replied and then crashed still counts its job as finished.
-        Memo deltas shipped with each result are published to the
-        shared log here — the parent is the log's only writer.
         """
         busy = [w for w in self._workers if w.job is not None]
         if not busy:
@@ -818,10 +583,6 @@ class WorkerPool:
             hub = exposition.active_hub()
             if hub is not None:
                 hub.worker_clear(handle.worker_id)
-            obs.incr("pool.memo_imported", message.get("imported", 0))
-            delta = message.get("memo_delta")
-            if delta:
-                self.memo_log.publish(pickle.loads(delta))
             if message["kind"] == "ok":
                 obs.incr("pool.jobs")
                 events.append(
@@ -935,7 +696,7 @@ class WorkerPool:
 
     # -- shutdown ------------------------------------------------------
     def close(self) -> None:
-        """Stop workers, persist the memo snapshot, free shared memory."""
+        """Stop workers and free shared memory."""
         if self._closed:
             return
         self._closed = True
@@ -949,14 +710,6 @@ class WorkerPool:
             handle.process.join(timeout=deadline_join)
             self._teardown(handle)
         self._workers = []
-        if self.memo_dir is not None:
-            entries = self.memo_log.entries()
-            path = save_memo_snapshot(self.memo_dir, entries)
-            obs.incr("pool.memo_snapshot_saved", len(entries))
-            obs.event(
-                "pool.memo_snapshot_saved", entries=len(entries), path=path
-            )
-        self.memo_log.close()
         self.arena.close()
 
     def __enter__(self) -> "WorkerPool":

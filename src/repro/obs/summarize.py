@@ -74,8 +74,8 @@ class TraceSummary:
         """Hit rates derived from paired ``*_hit``/``*_miss`` counters.
 
         The caching layer emits ``cache.<name>.hit``/``.miss`` per
-        cache plus the ``opt.cache_hit``/``opt.cache_miss`` aggregate
-        for the OptForPart result memo (see ``docs/performance.md``).
+        cache plus ``<aggregate>_hit``/``_miss`` for caches that name an
+        aggregate (the serve artifact cache's ``serve.cache``).
         """
         rates: Dict[str, Dict[str, float]] = {}
         for name, value in self.counters.items():
@@ -91,10 +91,6 @@ class TraceSummary:
             if total <= 0:
                 continue
             evictions = float(self.counters.get(f"{stem}{sep}eviction", 0))
-            if not evictions and stem == "opt.cache":
-                # the OptForPart result memo names its eviction counter
-                # explicitly (see repro.core.opt_for_part)
-                evictions = float(self.counters.get("opt.memo_evictions", 0))
             rates[stem] = {
                 "hits": hits,
                 "misses": misses,
@@ -106,11 +102,9 @@ class TraceSummary:
     def pool_stats(self) -> Dict[str, float]:
         """The warm-pool backend counters (``pool.*``).
 
-        Workers started/restarted, shared-memory bytes and table
-        segments, and the shared-memo traffic
-        (``pool.memo_published`` / ``imported`` / ``dropped`` plus the
-        disk-snapshot entry counts) — empty when the trace never used
-        the pool backend.
+        Jobs, workers started/restarted, and shared-memory bytes and
+        table segments — empty when the trace never used the pool
+        backend.
         """
         return {
             name: value

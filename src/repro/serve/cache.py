@@ -83,9 +83,8 @@ class ArtifactCache:
             payload = self._read_disk(key)
             if payload is None:
                 return None
-            # Promote without journalling or double-counting the miss
-            # the LruCache just recorded.
-            self._memory.import_entries([(key, payload)])
+            # promote; put() records no second miss
+            self._memory.put(key, payload)
             self.disk_hits += 1
         if obs.enabled():
             obs.incr("serve.artifact_disk_hit")

@@ -1,12 +1,12 @@
-"""Differential tests for the batched search and the OptForPart caches.
+"""Differential tests for the batched search and its kernel caches.
 
 The production search loops evaluate a whole generation per stacked
-``OptForPart`` call, and the kernel layer caches gather indices and
-BTO / exhaustive results.  None of that may change a bit: these tests
-pin every search loop against the serial oracle in ``tests/oracle/``
-(identical errors, pattern/type bytes, work counters and downstream
-generator streams) on both kernel tiers, and every cache against a
-direct recomputation.
+``OptForPart`` call, and the kernel layer caches gather indices,
+neighbour lists and a per-``(costs, p)`` kernel context.  None of that
+may change a bit: these tests pin every search loop against the serial
+oracle in ``tests/oracle/`` (identical errors, pattern/type bytes, work
+counters and downstream generator streams) on both kernel tiers, and
+every cache against a direct recomputation.
 """
 
 from __future__ import annotations
@@ -179,62 +179,35 @@ class TestBatchedMatchesSerial:
             opt_for_part_many(costs, p, parts, 6, rng=np.random.default_rng(0))
 
 
-class TestResultMemo:
-    def test_second_call_hits_and_matches(self):
-        costs, p = _instance(8, seed=11)
-        memo = memo_context(costs, p)
-        partition = random_partition(8, 4, np.random.default_rng(6))
-        first = opt_for_part_bto(costs, p, partition, 8, memo=memo)
-        stats = caching.cache_stats()["opt.memo"]
-        assert stats["misses"] == 1 and stats["hits"] == 0
-        second = opt_for_part_bto(costs, p, partition, 8, memo=memo)
-        stats = caching.cache_stats()["opt.memo"]
-        assert stats["hits"] == 1
-        _same_result(first, second)
+class TestKernelContext:
+    """An ``OptMemo`` kernel context caches per-``(costs, p)`` set-up
+    only: reusing it, or passing none, changes no result and no
+    generator stream."""
 
-    def test_rng_stream_identical_on_hit_and_miss(self):
-        """The randomised variant is never memoised: with a context
-        handle or without, the result and the generator stream are the
-        same."""
-        costs, p = _instance(8, seed=13)
-        memo = memo_context(costs, p)
-        partition = random_partition(8, 4, np.random.default_rng(9))
-        opt_for_part(
-            costs, p, partition, 8, rng=np.random.default_rng(1), memo=memo
-        )
-        rng_memo = np.random.default_rng(1)
-        rng_bare = np.random.default_rng(1)
-        with_memo = opt_for_part(costs, p, partition, 8, rng=rng_memo, memo=memo)
-        bare = opt_for_part(costs, p, partition, 8, rng=rng_bare)
-        _same_result(with_memo, bare)
-        assert rng_memo.bit_generator.state == rng_bare.bit_generator.state
-        assert caching.cache_stats()["opt.memo"]["size"] == 0
-
-    def test_memo_distinguishes_contexts(self):
-        costs_a, p = _instance(6, seed=3)
-        costs_b, _ = _instance(6, seed=4)
-        partition = Partition((2, 3, 4, 5), (0, 1))
-        res_a = opt_for_part_bto(
-            costs_a, p, partition, 6, memo=memo_context(costs_a, p)
-        )
-        res_b = opt_for_part_bto(
-            costs_b, p, partition, 6, memo=memo_context(costs_b, p)
-        )
-        assert caching.cache_stats()["opt.memo"]["hits"] == 0
-        assert res_a.error != res_b.error
-
-    @pytest.mark.parametrize("function", [opt_for_part_bto, opt_for_part_exhaustive])
-    def test_deterministic_variants_memo_consistent(self, function):
+    @pytest.mark.parametrize("variant", ["normal", "bto", "exhaustive"])
+    def test_context_changes_no_result_or_rng_stream(self, variant):
         costs, p = _instance(7, seed=21)
-        memo = memo_context(costs, p)
         partition = random_partition(7, 3, np.random.default_rng(2))
-        first = function(costs, p, partition, 7, memo=memo)
-        second = function(costs, p, partition, 7, memo=memo)
-        assert caching.cache_stats()["opt.memo"]["hits"] == 1
-        reference = function(costs, p, partition, 7)
-        assert caching.cache_stats()["opt.memo"]["hits"] == 1
-        _same_result(first, second)
-        _same_result(first, reference)
+        memo = memo_context(costs, p)
+
+        def call(context):
+            rng = np.random.default_rng(1)
+            if variant == "normal":
+                result = opt_for_part(
+                    costs, p, partition, 7, rng=rng, memo=context
+                )
+            elif variant == "bto":
+                result = opt_for_part_bto(costs, p, partition, 7, memo=context)
+            else:  # the exhaustive oracle takes no context
+                result = opt_for_part_exhaustive(costs, p, partition, 7)
+            return result, rng.bit_generator.state
+
+        first, first_state = call(memo)
+        again, again_state = call(memo)
+        bare, bare_state = call(None)
+        _same_result(first, again)
+        _same_result(first, bare)
+        assert first_state == again_state == bare_state
 
 
 class TestPipelineBitExact:
@@ -286,13 +259,12 @@ class TestPipelineBitExact:
             target, self.CONFIG, rng=np.random.default_rng(31),
             architecture="bto-normal",
         )
-        # same seed again, caches still warm: every BTO call memoises
+        # same seed again, index and neighbour caches still warm
         warm = run_bssa(
             target, self.CONFIG, rng=np.random.default_rng(31),
             architecture="bto-normal",
         )
         assert _run_fingerprint(cold) == _run_fingerprint(warm)
-        assert caching.cache_stats()["opt.memo"]["hits"] > 0
 
 
 class TestSearchLoopsMatchOracle:

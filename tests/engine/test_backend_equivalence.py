@@ -1,13 +1,13 @@
 """Differential equivalence of the campaign execution backends.
 
 One smoke-scale Table-II campaign is executed four ways — (a) serial
-(no engine), (b) per-job spawn engine, (c) warm pool, (d) warm pool
-with a pre-populated disk memo — and must produce byte-identical MEDs
-(every statistic except wall-clock timings) and identical run
-manifests modulo timings and cache-warmth counters.  This is the
-acceptance test of the warm-pool backend: persistent workers, the
-shared-memory table transport, and the campaign-shared OptForPart memo
-may change *when* things are computed, never *what*.
+(no engine), (b) per-job spawn engine, (c) warm pool, (d) a warm pool
+of one worker, so every job shares one process and its warm caches —
+and must produce byte-identical MEDs (every statistic except wall-clock
+timings) and identical run manifests modulo timings and cache-warmth
+counters.  This is the acceptance test of the warm-pool backend:
+persistent workers, the shared-memory table transport and caches kept
+warm across jobs may change *when* things are computed, never *what*.
 
 The packed kernel tier adds a second axis: a campaign whose instances
 all take the packed sweep (every backend above) must match the same
@@ -71,8 +71,8 @@ def _manifest(sink):
     """A run manifest modulo timings and cache-warmth counters.
 
     Phase timings and ``cache.*`` / ``opt.*`` / ``pool.*`` counters
-    legitimately differ with backend and memo warmth (a memo hit skips
-    the counted inner work); everything identity-bearing — command,
+    legitimately differ with backend and cache warmth (a cache hit
+    skips the counted inner work); everything identity-bearing — command,
     config hash, base seed, every spawned seed record, and the engine
     job accounting — must match exactly.
     """
@@ -101,7 +101,7 @@ def _manifest(sink):
 
 
 class TestBackendEquivalence:
-    def test_serial_spawn_pool_and_warm_memo_are_byte_identical(
+    def test_serial_spawn_pool_and_one_worker_pool_are_byte_identical(
         self, tmp_path
     ):
         serial = run_table2(ExperimentScale.smoke(), base_seed=_BASE_SEED)
@@ -112,30 +112,26 @@ class TestBackendEquivalence:
         pool_result, pool_sink = _campaign(
             tmp_path, "pool", EngineConfig(n_jobs=2, backend="pool")
         )
-        warm_config = EngineConfig(
-            n_jobs=2, backend="pool", memo_dir=str(tmp_path / "memo")
+        # one worker runs every job, so each job after the first
+        # starts with the caches its predecessors left warm
+        single_result, single_sink = _campaign(
+            tmp_path, "pool-1", EngineConfig(n_jobs=1, backend="pool")
         )
-        # first pool campaign with --memo-dir populates the snapshot ...
-        _campaign(tmp_path, "memo-seed", warm_config)
-        # ... the one under test starts from the warm disk memo
-        warm_result, warm_sink = _campaign(tmp_path, "warm", warm_config)
 
         blobs = [
             json.dumps(_strip_times(result.as_dict()), sort_keys=True)
-            for result in (serial, spawn_result, pool_result, warm_result)
+            for result in (serial, spawn_result, pool_result, single_result)
         ]
         assert blobs[0] == blobs[1], "spawn engine diverged from serial"
         assert blobs[1] == blobs[2], "warm pool diverged from spawn"
-        assert blobs[2] == blobs[3], "pre-populated memo changed results"
+        assert blobs[1] == blobs[3], "one-worker pool diverged from spawn"
 
-        manifests = [
-            _manifest(sink) for sink in (spawn_sink, pool_sink, warm_sink)
-        ]
-        assert manifests[0] == manifests[1], (
+        spawn_manifest = _manifest(spawn_sink)
+        assert _manifest(pool_sink) == spawn_manifest, (
             "spawn vs pool manifests differ beyond timings"
         )
-        assert manifests[1] == manifests[2], (
-            "cold vs warm pool manifests differ beyond timings"
+        assert _manifest(single_sink) == spawn_manifest, (
+            "spawn vs one-worker pool manifests differ beyond timings"
         )
 
 

@@ -18,9 +18,12 @@ from repro.experiments.engine import (
     campaign_status,
     result_from_payload,
     result_to_payload,
+    resume_campaign,
+    run_experiment_campaign,
 )
 from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.runner import ExperimentScale, repeat_specs
+from repro.experiments.store import merge_campaigns
 
 
 def _specs(n_runs=2, n_inputs=6, base_seed=7):
@@ -228,6 +231,41 @@ class TestCampaignStatus:
         assert status.pending == []
         rendered = status.render()
         assert "table2" in rendered and "quarantined" in rendered
+
+    def test_manifest_with_retired_memo_fields_still_loads(self, tmp_path):
+        """Campaign directories written while ``EngineConfig`` still had
+        ``memo_dir``/``memo_capacity`` record both in their engine
+        block; status, resume and merge must all accept them."""
+        campaign_dir = tmp_path / "old"
+        result, _ = run_experiment_campaign(
+            "table2", "smoke", 0, campaign_dir=str(campaign_dir)
+        )
+        manifest_path = campaign_dir / "campaign.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["engine"].update(memo_dir=None, memo_capacity=65536)
+        atomic_write_json(str(manifest_path), manifest)
+        (campaign_dir / "jobs" / "job-00000.json").unlink()
+
+        status = campaign_status(str(campaign_dir))
+        assert len(status.pending) == 1
+        assert len(status.done) == status.total - 1
+
+        resumed, outcome = resume_campaign(str(campaign_dir))
+        assert outcome.complete
+        assert outcome.executed == 1
+        assert outcome.resumed == status.total - 1
+        def meds(table2):
+            return [
+                (row["benchmark"], row["dalta"], row["bssa"])
+                for row in table2.as_dict()["rows"]
+            ]
+
+        assert meds(resumed) == meds(result)
+
+        merged_dir = tmp_path / "merged"
+        merged = merge_campaigns([str(campaign_dir)], str(merged_dir))
+        assert merged.merged == status.total
+        assert campaign_status(str(merged_dir)).pending == []
 
 
 class TestSpecIdentity:

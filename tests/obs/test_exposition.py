@@ -238,13 +238,21 @@ class TestTopRendering:
                     "experiment": "table2",
                 },
                 "workers": {"0": {"job": [3, 0]}},
-                "counters": {"opt.cache_hits": 30, "opt.cache_misses": 10},
+                "counters": {
+                    "serve.requests": 40,
+                    "serve.cache_hit": 30,
+                    "serve.coalesced": 2,
+                    "serve.batched_jobs": 6,
+                },
                 "histograms": {"run.med": hist.to_dict()},
             }
         )
         assert "2/8 done" in frame
         assert "backend=pool" in frame
-        assert "opt cache: 75.0% hit" in frame
+        assert (
+            "serve: 40 requests — 30 cache hits, 2 coalesced, 6 batched jobs"
+            in frame
+        )
         assert "run.med" in frame
 
 
